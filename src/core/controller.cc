@@ -62,6 +62,8 @@ void Controller::begin_epoch() {
   epoch_candidates_start_ = optimizer_->candidates_evaluated();
   epoch_predictor_start_ = optimizer_->predictor_calls();
   epoch_skipped_start_ = optimizer_->bundles_skipped();
+  epoch_cache_hits_start_ = optimizer_->cache_stats().hits;
+  epoch_cache_misses_start_ = optimizer_->cache_stats().misses;
 }
 
 void Controller::end_epoch() {
@@ -93,6 +95,10 @@ void Controller::end_epoch() {
                               epoch_candidates_start_);
     tl_skips_total_->add(optimizer_->bundles_skipped() -
                          epoch_skipped_start_);
+    tl_cache_hits_total_->add(optimizer_->cache_stats().hits -
+                              epoch_cache_hits_start_);
+    tl_cache_misses_total_->add(optimizer_->cache_stats().misses -
+                                epoch_cache_misses_start_);
     tl_epoch_us_->record(end_us - epoch_start_us_);
     if (metric::TraceBuffer::instance().enabled()) {
       metric::TraceBuffer::instance().record("epoch.reevaluate",

@@ -329,6 +329,8 @@ class Controller {
   uint64_t epoch_candidates_start_ = 0;
   uint64_t epoch_predictor_start_ = 0;
   uint64_t epoch_skipped_start_ = 0;
+  uint64_t epoch_cache_hits_start_ = 0;
+  uint64_t epoch_cache_misses_start_ = 0;
 
   // Thread-safe mirrors of the per-epoch decision metrics, resolved
   // once: live scrapes (the METRICS verb) read these, while metrics_
@@ -339,6 +341,10 @@ class Controller {
       &metric::telemetry_counter("controller.epoch_candidates_total");
   metric::Counter* tl_skips_total_ =
       &metric::telemetry_counter("controller.epoch_skips_total");
+  metric::Counter* tl_cache_hits_total_ =
+      &metric::telemetry_counter("optimizer.prediction_cache_hits_total");
+  metric::Counter* tl_cache_misses_total_ =
+      &metric::telemetry_counter("optimizer.prediction_cache_misses_total");
   metric::Histogram* tl_epoch_us_ =
       &metric::telemetry_histogram("controller.epoch_us");
 

@@ -34,12 +34,20 @@ Status Namespace::set_string(const std::string& path,
 }
 
 Result<double> Namespace::get(const std::string& path) const {
-  auto it = numbers_.find(path);
-  if (it == numbers_.end()) {
-    if (fallback_ != nullptr) return fallback_->get(path);
+  double value = 0;
+  if (!find(path, &value)) {
     return Err<double>(ErrorCode::kNotFound, "no such name: " + path);
   }
-  return it->second;
+  return value;
+}
+
+bool Namespace::find(const std::string& path, double* out) const {
+  auto it = numbers_.find(path);
+  if (it == numbers_.end()) {
+    return fallback_ != nullptr && fallback_->find(path, out);
+  }
+  *out = it->second;
+  return true;
 }
 
 Result<std::string> Namespace::get_string(const std::string& path) const {
@@ -112,19 +120,8 @@ std::vector<std::string> Namespace::leaves(const std::string& prefix) const {
 rsl::ExprContext Namespace::expr_context(const std::string& base) const {
   rsl::ExprContext ctx;
   ctx.name_lookup = [this, base](const std::string& name, double* out) {
-    if (!base.empty()) {
-      auto relative = get(base + "." + name);
-      if (relative.ok()) {
-        *out = relative.value();
-        return true;
-      }
-    }
-    auto absolute = get(name);
-    if (absolute.ok()) {
-      *out = absolute.value();
-      return true;
-    }
-    return false;
+    if (!base.empty() && find(base + "." + name, out)) return true;
+    return find(name, out);
   };
   return ctx;
 }

@@ -20,6 +20,10 @@ class Namespace {
   Status set_string(const std::string& path, const std::string& value);
 
   Result<double> get(const std::string& path) const;
+  // get() without building an error on a miss: the expression resolver
+  // runs on every prediction-cache key, where most misses are
+  // allocation-derived names (client.memory) that never live here.
+  bool find(const std::string& path, double* out) const;
   Result<std::string> get_string(const std::string& path) const;
   bool has(const std::string& path) const;
 

@@ -48,7 +48,7 @@ Optimizer::Optimizer(const Predictor* predictor, const Objective* objective,
 void Optimizer::set_names(rsl::ExprContext names) {
   names_ = std::move(names);
   // No invalidation: cache keys embed the value of every name a model
-  // reads through this context (prediction_cache_key), so entries
+  // reads through this context (PredictionKeyBuilder), so entries
   // built against content that since changed can no longer be hit.
 }
 
@@ -66,31 +66,28 @@ Result<double> Optimizer::predict_cached(
     const rsl::OptionSpec& option, const OptionChoice& choice,
     const cluster::Allocation& allocation, const LoadView& load,
     const cluster::Topology& topology) const {
-  PredictionInput input;
-  input.option = &option;
-  input.choice = &choice;
-  input.allocation = &allocation;
-  input.topology = &topology;
-  input.node_load = load;
-  input.names = names_;
-  if (!config_.memoize_predictions) {
+  auto predict = [&] {
     ++predictor_calls_;
+    PredictionInput input;
+    input.option = &option;
+    input.choice = &choice;
+    input.allocation = &allocation;
+    input.topology = &topology;
+    input.node_load = load;
+    input.names = names_;
     return predictor_->predict(input);
-  }
+  };
+  if (!config_.memoize_predictions) return predict();
   // Unknown read sets — script models (which may also shell out through
   // cmd_eval) and expressions the compiler rejected — could observe
   // anything; never memoize them.
   const ModelReads reads = model_reads(option);
-  if (!reads.known) {
-    ++predictor_calls_;
-    return predictor_->predict(input);
-  }
-  std::string key =
-      prediction_cache_key(instance, bundle.spec.bundle, choice, allocation,
-                           load, reads, names_);
+  if (!reads.known) return predict();
+  const PredictionCache::Key key = PredictionCache::key(
+      key_builder_.build(instance, bundle.spec.bundle, choice, allocation,
+                         load, option, reads, names_));
   if (auto hit = cache_.lookup(key)) return *hit;
-  ++predictor_calls_;
-  auto predicted = predictor_->predict(input);
+  auto predicted = predict();
   if (predicted.ok()) cache_.insert(key, predicted.value());
   return predicted;
 }

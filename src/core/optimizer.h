@@ -96,16 +96,12 @@ class Optimizer {
   // Namespace-backed expression context for RSL amounts. The context is
   // a live view; memoized predictions survive installs because cache
   // keys embed the value of every name a model's expressions read (see
-  // prediction_cache_key), so entries built against content that since
+  // PredictionKeyBuilder), so entries built against content that since
   // changed simply stop hitting.
   void set_names(rsl::ExprContext names);
   const OptimizerConfig& config() const { return config_; }
   // Reconfiguring forces the next pass to re-evaluate everything.
   void set_config(OptimizerConfig config);
-  // Drops memoized predictions wholesale. Read-set keying makes this
-  // unnecessary for namespace churn; kept as an escape hatch for
-  // callers that change predictor-visible state behind its back.
-  void invalidate_predictions() { cache_.invalidate(); }
 
   // Configures a newly arrived instance's bundles (definition order),
   // then re-evaluates every other application. Returns all applied
@@ -218,6 +214,7 @@ class Optimizer {
   OptimizerConfig config_;
   rsl::ExprContext names_;
   mutable PredictionCache cache_;
+  mutable PredictionKeyBuilder key_builder_;  // reused key buffer
   std::unique_ptr<Solver> solver_;
   mutable uint64_t candidates_evaluated_ = 0;
   mutable uint64_t predictor_calls_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "common/assert.h"
@@ -287,7 +288,7 @@ Result<double> Predictor::predict_points(const PredictionInput& input) const {
   return piecewise_linear(points, x);
 }
 
-std::optional<double> PredictionCache::lookup(const std::string& key) {
+std::optional<double> PredictionCache::lookup(const Key& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -297,9 +298,10 @@ std::optional<double> PredictionCache::lookup(const std::string& key) {
   return it->second;
 }
 
-void PredictionCache::insert(const std::string& key, double value) {
+void PredictionCache::insert(const Key& key, double value) {
   if (entries_.size() >= max_entries_) entries_.clear();  // crude bound
-  entries_[key] = value;
+  entries_.insert_or_assign(StoredKey{std::string(key.bytes), key.hash},
+                            value);
 }
 
 void PredictionCache::invalidate() {
@@ -310,113 +312,100 @@ void PredictionCache::invalidate() {
 
 ModelReads model_reads(const rsl::OptionSpec& option) {
   ModelReads reads;
-  switch (Predictor::model_for(option)) {
-    case Predictor::Model::kScript:
-      // A TCL model script can read anything it likes.
-      reads.known = false;
-      return reads;
-    case Predictor::Model::kExpr:
-      // predict_expr never consults per-node contention; its whole
-      // input beyond the choice/allocation is the expression's reads.
-      reads.uses_load = false;
-      reads.exprs.push_back(&option.performance_expr);
-      break;
-    case Predictor::Model::kDag:
-      for (const auto& task : option.performance_dag) {
-        reads.exprs.push_back(&task.seconds);
-      }
-      break;
-    case Predictor::Model::kPoints:
-      break;  // pure function of choice, allocation and load
-    case Predictor::Model::kDefault:
-      for (const auto& node : option.nodes) {
-        reads.exprs.push_back(&node.seconds);
-      }
-      for (const auto& link : option.links) {
-        reads.exprs.push_back(&link.megabytes);
-      }
-      if (!option.communication.empty()) {
-        reads.exprs.push_back(&option.communication);
-      }
-      break;
+  const Predictor::Model model = Predictor::model_for(option);
+  if (model == Predictor::Model::kScript) {
+    // A TCL model script can read anything it likes.
+    reads.known = false;
+    return reads;
   }
-  for (const rsl::Expr* expr : reads.exprs) {
-    if (!expr->reads_known()) {
-      reads.known = false;
-      break;
-    }
-  }
+  // predict_expr never consults per-node contention; its whole input
+  // beyond the choice/allocation is the expression's reads.
+  reads.uses_load = model != Predictor::Model::kExpr;
+  for_each_model_expr(option, [&](const rsl::Expr& expr) {
+    if (!expr.reads_known()) reads.known = false;
+  });
   return reads;
 }
 
-std::string prediction_cache_key(InstanceId instance,
-                                 const std::string& bundle,
-                                 const OptionChoice& choice,
-                                 const cluster::Allocation& allocation,
-                                 const LoadView& load,
-                                 const ModelReads& reads,
-                                 const rsl::ExprContext& names) {
-  HARMONY_ASSERT_MSG(reads.known, "unknown read sets must bypass the cache");
-  std::string key;
-  key.reserve(64 + allocation.entries.size() * 16);
-  key += str_format("%llu", static_cast<unsigned long long>(instance));
-  key += '.';
-  key += bundle;
-  key += '|';
-  // Full-precision serialization: %.17g round-trips doubles exactly, so
-  // distinct choices can never alias to one cache entry.
-  key += choice.option;
-  for (const auto& [name, value] : choice.variables) {
-    key += str_format(";%s=%.17g", name.c_str(), value);
+namespace {
+
+// Prediction-key encoding (see PredictionKeyBuilder). Every field is
+// self-delimiting and the field order is fixed, so the concatenation is
+// injective.
+
+// Tags for doubles and resolved read values.
+constexpr char kAbsent = 0;  // read resolved to nothing
+constexpr char kUint = 1;    // non-negative integral double, as a varint
+constexpr char kRaw = 2;     // any other double, as its 8 raw bytes
+constexpr char kText = 3;    // string-valued read, length-prefixed
+
+// Read kinds: namespace name vs interpreter variable.
+constexpr char kNameRead = 'n';
+constexpr char kVarRead = 'v';
+
+void put_varint(std::string& out, uint64_t value) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<char>(value | 0x80));
+    value >>= 7;
   }
-  key += str_format(";m%.17g", choice.memory_grant);
+  out.push_back(static_cast<char>(value));
+}
+
+void put_string(std::string& out, std::string_view text) {
+  put_varint(out, text.size());
+  out.append(text);
+}
+
+void put_double(std::string& out, double value) {
+  // The sign-bit test keeps -0.0 raw; NaN and values from 2^64 up fail
+  // the range test. Below 2^64 an integral double converts to uint64_t
+  // exactly, so the varint form is as injective as the raw bytes.
+  if (!std::signbit(value) && value < 0x1p64 && value == std::trunc(value)) {
+    out.push_back(kUint);
+    put_varint(out, static_cast<uint64_t>(value));
+    return;
+  }
+  out.push_back(kRaw);
+  char raw[sizeof(double)];
+  std::memcpy(raw, &value, sizeof raw);
+  out.append(raw, sizeof raw);
+}
+
+}  // namespace
+
+std::string_view PredictionKeyBuilder::build(
+    InstanceId instance, const std::string& bundle, const OptionChoice& choice,
+    const cluster::Allocation& allocation, const LoadView& load,
+    const rsl::OptionSpec& option, const ModelReads& reads,
+    const rsl::ExprContext& names) {
+  HARMONY_ASSERT_MSG(reads.known, "unknown read sets must bypass the cache");
+  key_.clear();
+  put_varint(key_, instance);
+  put_string(key_, bundle);
+  put_string(key_, choice.option);
+  put_varint(key_, choice.variables.size());
+  for (const auto& [name, value] : choice.variables) {
+    put_string(key_, name);
+    put_double(key_, value);
+  }
+  put_double(key_, choice.memory_grant);
+  put_varint(key_, allocation.entries.size());
   for (const auto& entry : allocation.entries) {
-    key += str_format("|%s.%d@%u*%.17g", entry.requirement.role.c_str(),
-                      entry.requirement.index, entry.node,
-                      entry.requirement.memory_mb);
+    put_string(key_, entry.requirement.role);
+    put_varint(key_, static_cast<uint32_t>(entry.requirement.index));
+    put_varint(key_, entry.node);
+    put_double(key_, entry.requirement.memory_mb);
     if (reads.uses_load) {
       // Models clamp absent / sub-1 loads to 1, so key on the clamped
       // value to maximize hits without changing observable inputs.
-      key += str_format(":%d", std::max(1, load.at(entry.node)));
+      put_varint(key_, static_cast<uint32_t>(std::max(1, load.at(entry.node))));
     }
   }
   // Current value of everything the model's expressions read through
-  // the namespace context. Strings are length-prefixed so values can
-  // never alias across name boundaries.
-  auto append_name = [&](const std::string& name) {
-    key += "|n:";
-    key += name;
-    key += '=';
-    double number = 0;
-    if (names.name_lookup && names.name_lookup(name, &number)) {
-      key += str_format("%.17g", number);
-      return;
-    }
-    // Bare names fall back to interpreter variables at eval time;
-    // mirror that here so a string-valued hit is still keyed.
-    std::string text;
-    if (names.var_lookup && names.var_lookup(name, &text)) {
-      key += str_format("s%zu:", text.size());
-      key += text;
-      return;
-    }
-    key += '?';
-  };
-  auto append_var = [&](const std::string& name) {
-    key += "|v:";
-    key += name;
-    key += '=';
-    std::string text;
-    if (names.var_lookup && names.var_lookup(name, &text)) {
-      key += str_format("%zu:", text.size());
-      key += text;
-    } else {
-      key += '?';
-    }
-  };
-  // Read sets are tiny; linear dedup beats hashing here.
-  std::vector<const std::string*> seen_names;
-  std::vector<const std::string*> seen_vars;
+  // the namespace context; the kind byte opens each read, and the reads
+  // run to the end of the key.
+  seen_names_.clear();
+  seen_vars_.clear();
   auto once = [](std::vector<const std::string*>& seen,
                  const std::string& name) {
     for (const std::string* s : seen) {
@@ -425,17 +414,48 @@ std::string prediction_cache_key(InstanceId instance,
     seen.push_back(&name);
     return true;
   };
-  for (const rsl::Expr* expr : reads.exprs) {
-    const rsl::Program* program = expr->program();
-    if (program == nullptr) continue;  // empty or literal: reads nothing
+  for_each_model_expr(option, [&](const rsl::Expr& expr) {
+    const rsl::Program* program = expr.program();
+    if (program == nullptr) return;  // empty or literal: reads nothing
     for (const auto& name : program->names()) {
-      if (once(seen_names, name)) append_name(name);
+      if (once(seen_names_, name)) append_name(name, names);
     }
     for (const auto& name : program->vars()) {
-      if (once(seen_vars, name)) append_var(name);
+      if (once(seen_vars_, name)) append_var(name, names);
     }
+  });
+  return key_;
+}
+
+void PredictionKeyBuilder::append_name(const std::string& name,
+                                       const rsl::ExprContext& names) {
+  key_.push_back(kNameRead);
+  put_string(key_, name);
+  double number = 0;
+  if (names.name_lookup && names.name_lookup(name, &number)) {
+    put_double(key_, number);
+    return;
   }
-  return key;
+  // Bare names fall back to interpreter variables at eval time; mirror
+  // that here so a string-valued hit is still keyed.
+  if (names.var_lookup && names.var_lookup(name, &text_)) {
+    key_.push_back(kText);
+    put_string(key_, text_);
+    return;
+  }
+  key_.push_back(kAbsent);
+}
+
+void PredictionKeyBuilder::append_var(const std::string& name,
+                                      const rsl::ExprContext& names) {
+  key_.push_back(kVarRead);
+  put_string(key_, name);
+  if (names.var_lookup && names.var_lookup(name, &text_)) {
+    key_.push_back(kText);
+    put_string(key_, text_);
+    return;
+  }
+  key_.push_back(kAbsent);
 }
 
 Result<double> Predictor::predict_script(const PredictionInput& input) const {

@@ -15,7 +15,9 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "cluster/matcher.h"
 #include "cluster/pool.h"
@@ -114,17 +116,13 @@ class Predictor {
   double comm_occupancy_s_per_mb_ = 0.0;
 };
 
-// The inputs a bundle option's performance model can observe beyond
-// (choice, allocation, topology): the RSL expressions it evaluates —
-// whose compiled read sets name exactly what they pull from the
-// controller namespace — and whether it feeds per-node contention into
-// the prediction. Computed from the option spec by model_reads().
+// The shape of what a bundle option's performance model observes beyond
+// (choice, allocation, topology): whether it feeds per-node contention
+// into the prediction, and whether its namespace read set is knowable.
+// The expressions whose compiled read sets name what it pulls from the
+// controller namespace are walked by for_each_model_expr(). Computed
+// from the option spec by model_reads() without allocating.
 struct ModelReads {
-  // Every expression the model evaluates at prediction time. Their
-  // compiled programs (rsl::Expr::program()) report the namespace
-  // names / interpreter variables read; empty and literal expressions
-  // contribute nothing.
-  std::vector<const rsl::Expr*> exprs;
   // True when the model consults the planned per-node load (default,
   // critical-path and points models); the expression model never does.
   bool uses_load = true;
@@ -134,6 +132,31 @@ struct ModelReads {
   bool known = true;
 };
 
+// Calls fn(const rsl::Expr&) for every expression the model predict()
+// would choose for `option` evaluates at prediction time, in a fixed
+// order. Their compiled programs (rsl::Expr::program()) report the
+// namespace names / interpreter variables read; empty and literal
+// expressions contribute nothing. Script models evaluate none.
+template <typename Fn>
+void for_each_model_expr(const rsl::OptionSpec& option, Fn&& fn) {
+  switch (Predictor::model_for(option)) {
+    case Predictor::Model::kScript:
+    case Predictor::Model::kPoints:
+      return;
+    case Predictor::Model::kExpr:
+      fn(option.performance_expr);
+      return;
+    case Predictor::Model::kDag:
+      for (const auto& task : option.performance_dag) fn(task.seconds);
+      return;
+    case Predictor::Model::kDefault:
+      for (const auto& node : option.nodes) fn(node.seconds);
+      for (const auto& link : option.links) fn(link.megabytes);
+      if (!option.communication.empty()) fn(option.communication);
+      return;
+  }
+}
+
 // Read set of the model predict() would choose for `option`.
 ModelReads model_reads(const rsl::OptionSpec& option);
 
@@ -141,10 +164,11 @@ ModelReads model_reads(const rsl::OptionSpec& option);
 // function of (option choice, allocation, per-node contention on the
 // allocated nodes when the model reads it) — plus the values of the
 // namespace names the option's expressions read, which the key embeds
-// directly (see prediction_cache_key). Namespace churn therefore
+// directly (see PredictionKeyBuilder). Namespace churn therefore
 // misses stale entries instead of requiring wholesale invalidation.
-// Keys are built by prediction_cache_key(); models with unknown read
-// sets (scripts, uncompilable expressions) bypass the cache.
+// Models with unknown read sets (scripts, uncompilable expressions)
+// bypass the cache. Entries are identified by their full key bytes;
+// the hash only picks a bucket.
 class PredictionCache {
  public:
   struct Stats {
@@ -158,38 +182,88 @@ class PredictionCache {
     }
   };
 
+  // Key bytes plus their hash, computed once by key() so that the
+  // insert() following a missed lookup() does not hash again. The bytes
+  // are borrowed: only insert() copies them.
+  struct Key {
+    std::string_view bytes;
+    size_t hash = 0;
+  };
+  static Key key(std::string_view bytes) {
+    return Key{bytes, std::hash<std::string_view>{}(bytes)};
+  }
+
   explicit PredictionCache(size_t max_entries = 1 << 20)
       : max_entries_(max_entries) {}
 
-  std::optional<double> lookup(const std::string& key);
-  void insert(const std::string& key, double value);
-  // Drops every entry (namespace changed, predictor reconfigured, ...).
+  std::optional<double> lookup(const Key& key);
+  void insert(const Key& key, double value);
+  // Drops every entry (predictor or optimizer reconfigured).
   void invalidate();
 
   const Stats& stats() const { return stats_; }
   size_t size() const { return entries_.size(); }
 
  private:
+  struct StoredKey {
+    std::string bytes;
+    size_t hash;
+  };
+  // Transparent over Key so lookups probe with the borrowed bytes.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const StoredKey& k) const noexcept { return k.hash; }
+    size_t operator()(const Key& k) const noexcept { return k.hash; }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return std::string_view(a.bytes) == std::string_view(b.bytes);
+    }
+  };
+
   size_t max_entries_;
-  std::unordered_map<std::string, double> entries_;
+  std::unordered_map<StoredKey, double, KeyHash, KeyEq> entries_;
   Stats stats_;
 };
 
-// Cache key for predicting one bundle of one instance: identity of the
-// (instance, bundle) pair, the candidate choice, the allocation
-// placement, the clamped contention each allocated node would see (only
-// when the model reads load), and the current value of every namespace
-// name / interpreter variable in the model's read set, resolved
-// through `names` — the complete input set of the model described by
-// `reads`. Choice variables and allocation-derived names (role.memory,
-// role.count, ...) shadow the namespace at eval time, but both are
-// functions of inputs already in the key. Requires reads.known.
-std::string prediction_cache_key(InstanceId instance,
-                                 const std::string& bundle,
-                                 const OptionChoice& choice,
-                                 const cluster::Allocation& allocation,
-                                 const LoadView& load,
-                                 const ModelReads& reads,
-                                 const rsl::ExprContext& names);
+// Builds prediction-cache keys into one reused buffer. A key holds the
+// identity of the (instance, bundle) pair, the candidate choice
+// (option, variables, memory grant), the allocation placement (each
+// entry's role, index, node and memory), the clamped contention each
+// allocated node would see (only when the model reads load), and the
+// current value of every namespace name / interpreter variable in the
+// model's read set, resolved through `names` — the complete input set
+// of the model. Choice variables and allocation-derived names
+// (role.memory, role.count, ...) shadow the namespace at eval time, but
+// both are functions of inputs already in the key.
+//
+// The encoding is binary and injective: strings and counts carry
+// varint length prefixes, a double that is a non-negative integer
+// below 2^64 is a tag plus a varint, and any other double is a tag plus
+// its raw 8 bytes (so 0.0 and -0.0, or 1.0 and its successor, stay
+// distinct).
+class PredictionKeyBuilder {
+ public:
+  // Rebuilds the key; the view stays valid until the next build().
+  // Requires reads.known.
+  std::string_view build(InstanceId instance, const std::string& bundle,
+                         const OptionChoice& choice,
+                         const cluster::Allocation& allocation,
+                         const LoadView& load, const rsl::OptionSpec& option,
+                         const ModelReads& reads,
+                         const rsl::ExprContext& names);
+
+ private:
+  void append_name(const std::string& name, const rsl::ExprContext& names);
+  void append_var(const std::string& name, const rsl::ExprContext& names);
+
+  std::string key_;
+  std::string text_;  // string-valued read, resolved before encoding
+  // Read sets are tiny; linear dedup beats hashing here.
+  std::vector<const std::string*> seen_names_;
+  std::vector<const std::string*> seen_vars_;
+};
 
 }  // namespace harmony::core

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <set>
+
 namespace harmony::core {
 namespace {
 
@@ -403,6 +408,227 @@ TEST(DefaultModel, BadExpressionSurfacesError) {
   auto r = predictor.predict(f.input());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().message.find("undefined.name"), std::string::npos);
+}
+
+// --- prediction-cache keys ------------------------------------------------
+
+// Every input of one prediction-cache key. Each test perturbs a single
+// field and compares the built key against the unperturbed one.
+struct KeyCase {
+  InstanceId instance = 7;
+  std::string bundle = "b";
+  // Default model: reads load, the namespace name site.scale and the
+  // interpreter variable mb.
+  rsl::BundleSpec spec = parse(
+      "{o {node w {seconds {site.scale * 2}} {memory 4}}"
+      " {node s {seconds 1} {memory 2}} {link w s {$mb + 0}}}");
+  OptionChoice choice{"o", {{"v", 2}}, 1.0};
+  cluster::Allocation allocation;
+  std::map<cluster::NodeId, int> load{{0, 2}, {1, 0}};
+  std::map<std::string, double> numbers{{"site.scale", 1.5}};
+  std::map<std::string, std::string> strings{{"mb", "12"}};
+
+  KeyCase() {
+    allocation.entries.push_back({{"w", 0, "*", "", 4}, 1});
+    allocation.entries.push_back({{"s", 0, "*", "", 2}, 0});
+  }
+
+  std::string key() const {
+    rsl::ExprContext names;
+    names.name_lookup = [this](const std::string& name, double* out) {
+      auto it = numbers.find(name);
+      if (it == numbers.end()) return false;
+      *out = it->second;
+      return true;
+    };
+    names.var_lookup = [this](const std::string& name, std::string* out) {
+      auto it = strings.find(name);
+      if (it == strings.end()) return false;
+      *out = it->second;
+      return true;
+    };
+    const rsl::OptionSpec& option = spec.options[0];
+    PredictionKeyBuilder builder;
+    return std::string(builder.build(instance, bundle, choice, allocation,
+                                     LoadView(&load), option,
+                                     model_reads(option), names));
+  }
+};
+
+TEST(PredictionKey, EqualInputsGiveEqualKeys) {
+  KeyCase a, b;
+  EXPECT_EQ(a.key(), b.key());
+  // A reused builder yields the same bytes as a fresh one.
+  const rsl::OptionSpec& option = a.spec.options[0];
+  PredictionKeyBuilder builder;
+  rsl::ExprContext none;
+  std::string first(builder.build(1, "x", a.choice, a.allocation,
+                                  LoadView(&a.load), option,
+                                  model_reads(option), none));
+  std::string second(builder.build(1, "x", a.choice, a.allocation,
+                                   LoadView(&a.load), option,
+                                   model_reads(option), none));
+  EXPECT_EQ(first, second);
+}
+
+TEST(PredictionKey, EverySingleFieldChangesTheKey) {
+  const std::string base = KeyCase().key();
+  std::vector<std::pair<const char*, std::function<void(KeyCase&)>>> edits = {
+      {"instance", [](KeyCase& c) { c.instance = 8; }},
+      {"bundle", [](KeyCase& c) { c.bundle = "c"; }},
+      {"option", [](KeyCase& c) { c.choice.option = "p"; }},
+      {"variable name",
+       [](KeyCase& c) { c.choice.variables = {{"u", 2}}; }},
+      {"variable value", [](KeyCase& c) { c.choice.variables["v"] = 3; }},
+      {"extra variable", [](KeyCase& c) { c.choice.variables["z"] = 0; }},
+      {"memory grant", [](KeyCase& c) { c.choice.memory_grant = 2.0; }},
+      {"role",
+       [](KeyCase& c) { c.allocation.entries[0].requirement.role = "x"; }},
+      {"index",
+       [](KeyCase& c) { c.allocation.entries[0].requirement.index = 1; }},
+      {"node", [](KeyCase& c) { c.allocation.entries[0].node = 2; }},
+      {"memory",
+       [](KeyCase& c) { c.allocation.entries[1].requirement.memory_mb = 3; }},
+      {"entry count",
+       [](KeyCase& c) { c.allocation.entries.pop_back(); }},
+      {"load", [](KeyCase& c) { c.load[0] = 3; }},
+      {"name value", [](KeyCase& c) { c.numbers["site.scale"] = 2.5; }},
+      {"var value", [](KeyCase& c) { c.strings["mb"] = "13"; }},
+  };
+  std::set<std::string> keys{base};
+  for (const auto& [what, edit] : edits) {
+    KeyCase c;
+    edit(c);
+    const std::string key = c.key();
+    EXPECT_NE(key, base) << what;
+    keys.insert(key);
+  }
+  EXPECT_EQ(keys.size(), edits.size() + 1) << "two edits built one key";
+}
+
+TEST(PredictionKey, CompactLayout) {
+  // instance 1 + bundle 2 + option 2 + variable count 1 + (name 2,
+  // value 2) + grant 2 + entry count 1 + two entries of (role 2, index
+  // 1, node 1, memory 2, load 1) + name read (kind 1, "site.scale" 11,
+  // raw 1.5 9) + var read (kind 1, "mb" 3, tag 1, "12" 3) = 56 bytes;
+  // the text form of the same inputs took 59.
+  EXPECT_EQ(KeyCase().key().size(), 56u);
+}
+
+TEST(PredictionKey, DoublesAreKeyedExactly) {
+  auto key_with_grant = [](double grant) {
+    KeyCase c;
+    c.choice.memory_grant = grant;
+    return c.key();
+  };
+  const double two53 = 9007199254740992.0;  // 2^53
+  const double two64 = 18446744073709551616.0;
+  const std::vector<double> values = {
+      0.0,
+      -0.0,
+      1.0,
+      std::nextafter(1.0, 2.0),
+      3.0,
+      3.5,
+      -3.0,
+      two53,
+      two53 + 2,
+      std::nextafter(two64, 0.0),  // largest double below 2^64
+      two64,
+      two64 * 2,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+  };
+  std::set<std::string> keys;
+  for (double v : values) {
+    EXPECT_EQ(key_with_grant(v), key_with_grant(v)) << v;
+    keys.insert(key_with_grant(v));
+  }
+  EXPECT_EQ(keys.size(), values.size()) << "two distinct doubles aliased";
+  // Integral values take the short varint form, fractional ones the
+  // raw 8 bytes.
+  EXPECT_LT(key_with_grant(3.0).size(), key_with_grant(3.5).size());
+}
+
+TEST(PredictionKey, StringsCannotAliasAcrossFields) {
+  KeyCase a, b;
+  a.bundle = "a";
+  a.choice.option = "bc";
+  b.bundle = "ab";
+  b.choice.option = "c";
+  EXPECT_NE(a.key(), b.key());
+
+  // Names with bytes >= 0x80 and lengths past one varint byte.
+  KeyCase hi1, hi2, long1, long2;
+  hi1.allocation.entries[0].requirement.role = "r\xc3\xa9";
+  hi2.allocation.entries[0].requirement.role = "r\xc3\xa8";
+  EXPECT_NE(hi1.key(), hi2.key());
+  EXPECT_NE(hi1.key(), KeyCase().key());
+  long1.bundle = std::string(200, '\x80');
+  long1.choice.option = "o";
+  long2.bundle = std::string(199, '\x80');
+  long2.choice.option = "\x80o";
+  EXPECT_NE(long1.key(), long2.key());
+}
+
+TEST(PredictionKey, LoadIsKeyedOnlyWhenTheModelReadsIt) {
+  KeyCase a, b;
+  b.load[0] = 5;
+  EXPECT_NE(a.key(), b.key());
+  // Absent and zero loads clamp to 1, as the models do.
+  KeyCase zero, absent;
+  zero.load = {{0, 0}, {1, 0}};
+  absent.load = {};
+  KeyCase one;
+  one.load = {{0, 1}, {1, 1}};
+  EXPECT_EQ(zero.key(), one.key());
+  EXPECT_EQ(absent.key(), one.key());
+
+  // The expression model never reads contention.
+  KeyCase e1, e2;
+  e1.spec = e2.spec = parse(
+      "{o {node w {seconds 1} {memory 4}} {node s {seconds 1} {memory 2}}"
+      " {performance expr {site.scale + 1}}}");
+  ASSERT_FALSE(model_reads(e1.spec.options[0]).uses_load);
+  e2.load[0] = 5;
+  EXPECT_EQ(e1.key(), e2.key());
+  e2.numbers["site.scale"] = 4;
+  EXPECT_NE(e1.key(), e2.key());
+}
+
+TEST(PredictionKey, ReadNameResolvingToNumberStringOrNothing) {
+  KeyCase number, text, text_one, missing;
+  number.numbers["site.scale"] = 1;
+  text.numbers.clear();
+  text.strings["site.scale"] = "1";  // bare-name fallback to a variable
+  text_one.numbers.clear();
+  text_one.strings["site.scale"] = "1.0";
+  missing.numbers.clear();
+  std::set<std::string> keys{number.key(), text.key(), text_one.key(),
+                             missing.key()};
+  EXPECT_EQ(keys.size(), 4u);
+  // An unset interpreter variable is keyed apart from an empty one.
+  KeyCase unset, empty;
+  unset.strings.erase("mb");
+  empty.strings["mb"] = "";
+  EXPECT_NE(unset.key(), empty.key());
+}
+
+TEST(PredictionKey, ModelReadsAcrossModels) {
+  auto expr = parse("{o {node n {seconds 1}} {performance expr {a.b * 2}}}");
+  EXPECT_FALSE(model_reads(expr.options[0]).uses_load);
+  EXPECT_TRUE(model_reads(expr.options[0]).known);
+  auto script = parse("{o {node n {seconds 1}} {performance script {return 5}}}");
+  EXPECT_FALSE(model_reads(script.options[0]).known);
+  auto rejected = parse("{o {node n {seconds {[clock seconds]}}}}");
+  EXPECT_FALSE(model_reads(rejected.options[0]).known);
+  auto def = parse("{o {node n {seconds {x.y}}} {link n n {z.w}}}");
+  EXPECT_TRUE(model_reads(def.options[0]).uses_load);
+  std::vector<std::string> texts;
+  for_each_model_expr(def.options[0],
+                      [&](const rsl::Expr& e) { texts.push_back(e.text()); });
+  EXPECT_EQ(texts, (std::vector<std::string>{"x.y", "z.w"}));
 }
 
 }  // namespace

@@ -86,11 +86,15 @@ struct RawClient {
 
 class MetricsTest : public ::testing::Test {
  protected:
-  void start_server(ServerConfig config, bool run_controller) {
+  // `optimize` switches arrivals from first-feasible steering to the
+  // optimizer's predicted-objective pass with re-evaluation.
+  void start_server(ServerConfig config, bool run_controller,
+                    bool optimize = false) {
     core::ControllerConfig controller_config;
     controller_config.optimizer.initial_policy =
-        core::OptimizerConfig::InitialPolicy::kFirstFeasible;
-    controller_config.optimizer.reevaluate_on_arrival = false;
+        optimize ? core::OptimizerConfig::InitialPolicy::kOptimize
+                 : core::OptimizerConfig::InitialPolicy::kFirstFeasible;
+    controller_config.optimizer.reevaluate_on_arrival = optimize;
     controller_config.record_objective_metric = false;
     controller_ = std::make_unique<core::Controller>(controller_config);
     ASSERT_TRUE(controller_->add_nodes_script(swarm_cluster_script()).ok());
@@ -240,6 +244,44 @@ TEST_F(MetricsTest, ScrapeMidSwarmIsConsistentWithTraffic) {
   ASSERT_EQ(reply2.value().verb, "OK");
   EXPECT_GE(metric::telemetry_counter("net.frames_in_total").value(),
             frames_in0 + frames_in + 1);
+}
+
+TEST_F(MetricsTest, PredictionCacheCountersAfterDecision) {
+  const uint64_t hits0 =
+      metric::telemetry_counter("optimizer.prediction_cache_hits_total")
+          .value();
+  const uint64_t misses0 =
+      metric::telemetry_counter("optimizer.prediction_cache_misses_total")
+          .value();
+  ServerConfig config;
+  config.io_shards = 2;
+  start_server(config, /*run_controller=*/true, /*optimize=*/true);
+
+  // Two apps pinned to one node group: the second arrival re-predicts
+  // the first app's unchanged configuration once per candidate.
+  TcpTransport first, second;
+  ASSERT_TRUE(first.connect("localhost", port_).ok());
+  ASSERT_TRUE(second.connect("localhost", port_).ok());
+  ASSERT_TRUE(first.register_app(swarm_bundle(0)).ok());
+  ASSERT_TRUE(second.register_app(swarm_bundle(kGroupNodes)).ok());
+
+  RawClient scraper;
+  ASSERT_TRUE(scraper.connect(port_).ok());
+  auto reply = scraper.call(Message{"METRICS", {"json"}});
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  ASSERT_EQ(reply.value().verb, "OK");
+  const std::string& json = reply.value().args[0];
+  EXPECT_NE(json.find("\"optimizer.prediction_cache_hits_total\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"optimizer.prediction_cache_misses_total\":"),
+            std::string::npos);
+  EXPECT_GT(metric::telemetry_counter("optimizer.prediction_cache_hits_total")
+                .value(),
+            hits0);
+  EXPECT_GT(
+      metric::telemetry_counter("optimizer.prediction_cache_misses_total")
+          .value(),
+      misses0);
 }
 
 TEST_F(MetricsTest, ScrapeNeverBlocksOnController) {

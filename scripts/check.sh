@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: build + ctest in the regular config, then in
-# the ASan+UBSan config, then the partitioned-decision-core suite under
-# ThreadSanitizer (domain workers cross threads; the differential and
-# storm tests are the ones that would race). Usage: scripts/check.sh [-j N]
+# the ASan+UBSan config, then the partitioned-decision-core and network
+# suites under ThreadSanitizer (domain workers and I/O shards cross
+# threads). Usage: scripts/check.sh [-j N]
 set -euo pipefail
 
 jobs=$(nproc 2>/dev/null || echo 4)
@@ -29,19 +29,22 @@ run_config() {
 run_config default build
 run_config asan build-asan -DHARMONY_SANITIZE=ON
 
-# TSan: only the multi-threaded decision-core suite — building the
-# whole tree under a third config would double the sweep for tests
-# that never leave one thread. apps_malleable_test rides along: the
-# mid-iteration resize storm exercises the join/retire protocol.
+# TSan: only the multi-threaded suites — building the whole tree under
+# a third config would double the sweep for tests that never leave one
+# thread. The decision core's domain workers, the I/O shards and their
+# mailbox, and the update queue all cross threads. apps_malleable_test
+# rides along: the mid-iteration resize storm exercises the join/retire
+# protocol.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DHARMONY_TSAN=ON
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$jobs" \
   --target core_domain_test core_storm_test core_solver_test \
-  core_scale_test apps_malleable_test
+  core_scale_test apps_malleable_test net_server_test net_resume_test \
+  net_scale_test net_metrics_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R '^(core_(domain|storm|solver|scale)|apps_malleable)_test$'
+  -R '^(core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics))_test$'
 
 # Anytime-allocator gates at smoke scale: budget_ms = 0 bit-identity,
 # solver <= greedy, strict improvement on packing-stress. Does not

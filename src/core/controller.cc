@@ -57,10 +57,8 @@ Controller::EpochScope::~EpochScope() { controller_.end_epoch(); }
 void Controller::begin_epoch() {
   if (epoch_depth_++ > 0) return;
   epoch_applied_ = false;
-  epoch_wall_start_ = std::chrono::steady_clock::now();
   epoch_start_us_ = metric::telemetry_now_us();
   epoch_candidates_start_ = optimizer_->candidates_evaluated();
-  epoch_predictor_start_ = optimizer_->predictor_calls();
   epoch_skipped_start_ = optimizer_->bundles_skipped();
   epoch_cache_hits_start_ = optimizer_->cache_stats().hits;
   epoch_cache_misses_start_ = optimizer_->cache_stats().misses;
@@ -70,25 +68,8 @@ void Controller::end_epoch() {
   HARMONY_ASSERT(epoch_depth_ > 0);
   if (--epoch_depth_ > 0) return;
   if (epoch_applied_) {
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - epoch_wall_start_)
-            .count();
-    const double t = now();
-    metrics_.record("controller.decision_latency_ms", t, latency_ms);
-    metrics_.record("optimizer.epoch_candidates", t,
-                    static_cast<double>(optimizer_->candidates_evaluated() -
-                                        epoch_candidates_start_));
-    metrics_.record("optimizer.epoch_predictor_calls", t,
-                    static_cast<double>(optimizer_->predictor_calls() -
-                                        epoch_predictor_start_));
-    metrics_.record("optimizer.epoch_bundles_skipped", t,
-                    static_cast<double>(optimizer_->bundles_skipped() -
-                                        epoch_skipped_start_));
-    metrics_.record("optimizer.cache_hit_rate", t,
-                    optimizer_->cache_stats().hit_rate());
-    // Thread-safe mirrors for live scrapes; the registry above remains
-    // the simulation-time record.
+    // Thread-safe epoch facts for live scrapes; the MetricRegistry keeps
+    // only simulation-time application series.
     const uint64_t end_us = metric::telemetry_now_us();
     tl_epochs_total_->increment();
     tl_candidates_total_->add(optimizer_->candidates_evaluated() -

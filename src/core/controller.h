@@ -7,7 +7,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -89,8 +88,8 @@ class Controller {
   // RAII scope grouping decisions into one optimization epoch. Variable
   // updates queued anywhere inside the outermost scope are flushed once
   // at its close (under auto_flush), together with one coherent set of
-  // decision-path metrics (decision latency, candidates evaluated,
-  // predictor calls, cache hit rate). Every controller entry point
+  // decision-path telemetry (epoch latency, candidates evaluated, skips,
+  // cache hits and misses). Every controller entry point
   // opens one internally; callers that fan several calls into one
   // logical event (e.g. the TCP server dispatching a REGISTER that also
   // subscribes) can open their own so the event produces exactly one
@@ -324,17 +323,15 @@ class Controller {
   // --- epoch bookkeeping (see EpochScope) ---------------------------------
   int epoch_depth_ = 0;
   bool epoch_applied_ = false;  // decisions were applied in this epoch
-  std::chrono::steady_clock::time_point epoch_wall_start_;
   uint64_t epoch_start_us_ = 0;  // telemetry clock, for the epoch span
   uint64_t epoch_candidates_start_ = 0;
-  uint64_t epoch_predictor_start_ = 0;
   uint64_t epoch_skipped_start_ = 0;
   uint64_t epoch_cache_hits_start_ = 0;
   uint64_t epoch_cache_misses_start_ = 0;
 
-  // Thread-safe mirrors of the per-epoch decision metrics, resolved
-  // once: live scrapes (the METRICS verb) read these, while metrics_
-  // stays the single-threaded simulation-time record.
+  // The per-epoch decision metrics, thread-safe and resolved once: live
+  // scrapes (the METRICS verb) read these; metrics_ holds only
+  // simulation-time series.
   metric::Counter* tl_epochs_total_ =
       &metric::telemetry_counter("controller.epochs_total");
   metric::Counter* tl_candidates_total_ =

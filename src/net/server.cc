@@ -1,8 +1,6 @@
 #include "net/server.h"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -107,7 +105,6 @@ HarmonyTcpServer::~HarmonyTcpServer() {
   // The shard threads must be gone before controller state is touched:
   // after this, no mailbox event or egress command is in flight.
   shutdown_shards();
-  for (auto& connection : connections_) detach_connection(*connection);
   for (auto& [id, connection] : remotes_) detach_connection(*connection);
   if (router_ != nullptr) core::publish_domain_router(nullptr);
 }
@@ -171,9 +168,8 @@ void HarmonyTcpServer::detach_connection(Connection& connection) {
   // Deregister non-resumable connections; sessions with a token stay
   // registered so a persistence-backed restart can offer them for
   // RESUME. Their update subscriptions must be parked, though: the
-  // handlers capture this server and raw Connection pointers, and a
-  // controller that outlives the server would otherwise flush pending
-  // variables into freed memory.
+  // handlers capture this server, and a controller that outlives the
+  // server would otherwise flush pending variables into freed memory.
   if (!connection.session_token.empty()) {
     for (core::InstanceId id : connection.instances) {
       (void)ctl_subscribe(id, core::Controller::UpdateHandler{});
@@ -196,11 +192,16 @@ void HarmonyTcpServer::set_persistence(persist::Persistence* persistence) {
   for (const auto& [token, instances] : persistence_->sessions()) {
     parked_[token] = ParkedSession{instances, deadline};
   }
+  note_parked_count();
+}
+
+void HarmonyTcpServer::note_parked_count() {
+  parked_count_.store(parked_.size(), std::memory_order_relaxed);
 }
 
 Result<uint16_t> HarmonyTcpServer::start() {
   io_shard_count_ = config_.io_shards;
-  if (io_shard_count_ < 0) {
+  if (io_shard_count_ < 1) {
     unsigned hw = std::thread::hardware_concurrency();
     io_shard_count_ = static_cast<int>(std::min(4u, hw == 0 ? 1u : hw));
   }
@@ -208,20 +209,14 @@ Result<uint16_t> HarmonyTcpServer::start() {
   if (!listener.ok()) {
     return Err<uint16_t>(listener.error().code, listener.error().message);
   }
-  listener_ = std::move(listener).value();
-  auto status = set_nonblocking(listener_, true);
+  Fd listen_fd = std::move(listener).value();
+  auto status = set_nonblocking(listen_fd, true);
   if (!status.ok()) {
     return Err<uint16_t>(status.error().code, status.error().message);
   }
-  auto port = local_port(listener_);
+  auto port = local_port(listen_fd);
   if (!port.ok()) return port;
   port_ = port.value();
-  if (!sharded()) {
-    accept_reserve_ = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
-    HLOG_INFO("server") << "harmony listening on 127.0.0.1:" << port_
-                        << " (single-thread poll loop)";
-    return port_;
-  }
   // Shard 0 owns the listener and deals accepted sockets round-robin;
   // the full roster must exist before any shard thread starts.
   for (int i = 0; i < io_shard_count_; ++i) {
@@ -238,7 +233,7 @@ Result<uint16_t> HarmonyTcpServer::start() {
   }
   shard_wake_.assign(shards_.size(), 0);
   for (int i = 0; i < io_shard_count_; ++i) {
-    auto started = shards_[i]->start(i == 0 ? std::move(listener_) : Fd{});
+    auto started = shards_[i]->start(i == 0 ? std::move(listen_fd) : Fd{});
     if (!started.ok()) {
       shutdown_shards();
       return Err<uint16_t>(started.error().code, started.error().message);
@@ -251,13 +246,11 @@ Result<uint16_t> HarmonyTcpServer::start() {
 
 void HarmonyTcpServer::stop() {
   stopping_ = true;
-  if (!shards_.empty()) {
-    // Unblocks the controller thread (mailbox) and every shard loop.
-    mailbox_.close();
-    for (auto& shard : shards_) {
-      shard->request_stop();
-      shard->wake();
-    }
+  // Unblocks the controller thread (mailbox) and every shard loop.
+  mailbox_.close();
+  for (auto& shard : shards_) {
+    shard->request_stop();
+    shard->wake();
   }
 }
 
@@ -272,14 +265,10 @@ void HarmonyTcpServer::shutdown_shards() {
   shards_.clear();
 }
 
-bool HarmonyTcpServer::run_once(int timeout_ms) {
-  return sharded() ? drain_once(timeout_ms) : poll_once(timeout_ms);
-}
+// --- controller loop --------------------------------------------------------
 
-void HarmonyTcpServer::run(int until_idle_ms) { serve_loop(until_idle_ms); }
-
-void HarmonyTcpServer::serve_loop(int until_idle_ms) {
-  // Idle time is measured on a monotonic clock, not by counting poll
+void HarmonyTcpServer::run(int until_idle_ms) {
+  // Idle time is measured on a monotonic clock, not by counting wait
   // timeouts: a wait interrupted by a signal (EINTR) returns
   // immediately, so assuming each no-progress iteration consumed the
   // full timeout would cut the idle window short by however often
@@ -287,7 +276,7 @@ void HarmonyTcpServer::serve_loop(int until_idle_ms) {
   using Clock = std::chrono::steady_clock;
   Clock::time_point last_progress = Clock::now();
   while (!stopping_) {
-    bool progress = sharded() ? drain_once(50) : poll_once(50);
+    bool progress = run_once(50);
     if (progress) {
       last_progress = Clock::now();
     } else if (until_idle_ms > 0) {
@@ -298,9 +287,7 @@ void HarmonyTcpServer::serve_loop(int until_idle_ms) {
   }
 }
 
-// --- sharded controller loop ----------------------------------------------
-
-bool HarmonyTcpServer::drain_once(int timeout_ms) {
+bool HarmonyTcpServer::run_once(int timeout_ms) {
   mailbox_.drain(drain_batch_, timeout_ms);
   reap_expired_sessions();
   connections_gauge_->set(static_cast<int64_t>(connection_count()));
@@ -331,8 +318,8 @@ bool HarmonyTcpServer::drain_once(int timeout_ms) {
     }
   }
   // Ships everything staged this cycle — dispatch replies plus any
-  // UPDATE fan-out from expired-session re-evaluations above (and, in
-  // routed mode, updates queued by domain workers since the last tick).
+  // UPDATE fan-out queued since the last tick (expired-session
+  // re-evaluations above, departure cascades, domain workers).
   progress = pump_updates() || progress;
   progress = pump_replication() || progress;
   ship_staged();
@@ -419,125 +406,9 @@ void HarmonyTcpServer::ship_staged() {
   }
 }
 
-// --- single-thread poll loop (the A/B baseline) ---------------------------
-
-bool HarmonyTcpServer::poll_once(int timeout_ms) {
-  // The fd/event fields are refreshed in place every tick (writability
-  // interest follows the outbound buffer), but the vector itself only
-  // grows or shrinks when connections come and go.
-  pollfds_.resize(connections_.size() + 1);
-  pollfds_[0] = {listener_.get(), POLLIN, 0};
-  for (size_t i = 0; i < connections_.size(); ++i) {
-    short events = POLLIN;
-    if (!connections_[i]->outbound.empty()) events |= POLLOUT;
-    pollfds_[i + 1] = {connections_[i]->fd.get(), events, 0};
-  }
-  int ready = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
-  reap_expired_sessions();
-  connections_gauge_->set(static_cast<int64_t>(connections_.size()));
-  parked_gauge_->set(static_cast<int64_t>(parked_.size()));
-  if (ready <= 0) return false;
-
-  if (pollfds_[0].revents & POLLIN) accept_new();
-  // accept_new may have grown connections_; the new entries poll next
-  // tick. Dispatch strictly over this tick's snapshot.
-  OwnerBind bind(standby_ ? nullptr : controller_);
-  const size_t polled = pollfds_.size();
-  for (size_t i = 1; i < polled; ++i) {
-    Connection& connection = *connections_[i - 1];
-    if (pollfds_[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-      handle_readable(connection);
-    }
-    if (!connection.drop && (pollfds_[i].revents & POLLOUT)) {
-      flush_writable(connection);
-    }
-  }
-  reap_dropped();
-  // Routed mode: updates queued outside a dispatch (departure cascades
-  // from reaping, for instance) ship before the tick ends.
-  pump_updates();
-  pump_replication();
-  return true;
-}
-
-void HarmonyTcpServer::accept_new() {
-  while (true) {
-    auto accepted = accept_connection(listener_);
-    if (!accepted.ok()) {
-      if (accepted.error().code == ErrorCode::kTimeout) return;  // drained
-      if (accepted.error().code == ErrorCode::kCapacity) {
-        // Out of fds: shed the pending connection via the reserve slot
-        // so the listener does not stall with a full backlog.
-        if (!accept_reserve_.valid()) {
-          HLOG_WARN("server") << "out of file descriptors; accept deferred";
-          return;
-        }
-        accept_reserve_.close();
-        int fd = ::accept(listener_.get(), nullptr, nullptr);
-        if (fd >= 0) ::close(fd);
-        accept_reserve_ = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
-        HLOG_WARN("server")
-            << "out of file descriptors; shed one pending connection";
-        continue;
-      }
-      HLOG_WARN("server") << "accept: " << accepted.error().message;
-      return;
-    }
-    auto connection = std::make_unique<Connection>();
-    // Routed mode addresses queued updates by connection id, so the
-    // poll loop's connections need one too.
-    connection->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    connection->fd = std::move(accepted).value();
-    auto status = set_nonblocking(connection->fd, true);
-    if (!status.ok()) continue;
-    if (config_.sndbuf_bytes > 0) {
-      (void)::setsockopt(connection->fd.get(), SOL_SOCKET, SO_SNDBUF,
-                         &config_.sndbuf_bytes, sizeof(config_.sndbuf_bytes));
-    }
-    HLOG_DEBUG("server") << "accepted connection fd="
-                         << connection->fd.get();
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void HarmonyTcpServer::handle_readable(Connection& connection) {
-  char buffer[4096];
-  while (true) {
-    auto n = read_some(connection.fd, buffer, sizeof(buffer));
-    if (!n.ok()) {
-      connection.drop = true;
-      return;
-    }
-    if (n.value() == 0) break;  // drained
-    connection.inbound.feed(std::string_view(buffer, n.value()));
-  }
-  while (true) {
-    auto frame = connection.inbound.next_frame();
-    if (!frame.ok()) {
-      HLOG_WARN("server") << "protocol violation: " << frame.error().message;
-      connection.drop = true;
-      return;
-    }
-    if (!frame.value().has_value()) break;
-    auto message = Message::decode(*frame.value());
-    if (!message.ok()) {
-      send(connection, Message::err(message.error().code,
-                                    message.error().message));
-      continue;
-    }
-    dispatch(connection, message.value());
-    if (connection.drop) return;
-  }
-}
-
 void HarmonyTcpServer::dispatch(Connection& connection,
                                 const Message& message) {
   Message reply;
-  // Cork the dispatching connection: every frame this message produces
-  // for it — the RESUME/subscribe replay, fan-out to itself, and the
-  // reply — accumulates and leaves in one buffered write instead of one
-  // write(2) per frame. (Sharded mode batches by construction.)
-  connection.corked = true;
   {
     // One message = one optimization epoch: a REGISTER that also
     // subscribes (or an END that cascades re-evaluations) produces a
@@ -548,11 +419,11 @@ void HarmonyTcpServer::dispatch(Connection& connection,
     MaybeEpoch epoch(standby_ ? nullptr : controller_);
     reply = handle_message(connection, message);
   }
-  // The epoch close above flushed pending variable updates, so UPDATE
-  // frames always precede the reply on the wire — clients that block on
-  // the reply then drain their buffer see a complete picture. Routed
-  // ops block until their domain epoch flushed, so pumping here gives
-  // the same ordering.
+  // The epoch close above flushed pending variable updates into the
+  // queue (routed ops block until their domain epoch flushed), so
+  // pumping here puts UPDATE frames ahead of the reply on the wire —
+  // clients that block on the reply then drain their buffer see a
+  // complete picture.
   pump_updates();
   if (reply.verb.empty()) {
     // No-reply sentinel (replication ACKs).
@@ -570,8 +441,6 @@ void HarmonyTcpServer::dispatch(Connection& connection,
   } else {
     send(connection, reply);
   }
-  connection.corked = false;
-  if (!sharded() && !connection.drop) flush_writable(connection);
 }
 
 bool HarmonyTcpServer::should_defer_reply(const std::string& verb,
@@ -589,53 +458,38 @@ bool HarmonyTcpServer::should_defer_reply(const std::string& verb,
 
 Status HarmonyTcpServer::attach_updates(Connection& connection,
                                         core::InstanceId id) {
-  if (router_ != nullptr) {
-    // Routed mode: handlers fire on domain worker threads, where none
-    // of the egress state may be touched. They queue by connection id
-    // (the connection may die before the pump runs) and the controller
-    // thread pumps the queue into the normal send path.
-    const uint64_t conn_id = connection.id;
-    return router_->subscribe(
-        id,
-        [this, conn_id](const std::string& name, const std::string& value) {
-          std::lock_guard<std::mutex> lock(updates_mutex_);
-          pending_updates_.push_back(PendingUpdate{conn_id, name, value});
-        });
-  }
-  // Wire updates for this instance to this connection. The pointer is
-  // stable: connections are heap-allocated and subscriptions die with
-  // the instance (unregister clears them) or are re-pointed on RESUME.
-  Connection* conn = &connection;
-  return controller_->subscribe(
-      id, [this, conn](const std::string& name, const std::string& value) {
-        send(*conn, Message::update(name, value));
+  // Handlers fire wherever the decision is flushed — a domain worker
+  // thread, or the controller thread at epoch close — and none of the
+  // egress state may be touched there. They queue by connection id
+  // (the connection may die before the pump runs) and the controller
+  // thread pumps the queue into the normal send path.
+  const uint64_t conn_id = connection.id;
+  return ctl_subscribe(
+      id, [this, conn_id](const std::string& name, const std::string& value) {
+        std::lock_guard<std::mutex> lock(updates_mutex_);
+        pending_updates_.push_back(PendingUpdate{conn_id, name, value});
       });
 }
 
 HarmonyTcpServer::Connection* HarmonyTcpServer::find_connection(uint64_t id) {
-  if (sharded()) {
-    auto it = remotes_.find(id);
-    return it == remotes_.end() ? nullptr : it->second.get();
-  }
-  for (auto& connection : connections_) {
-    if (connection->id == id) return connection.get();
-  }
-  return nullptr;
+  auto it = remotes_.find(id);
+  return it == remotes_.end() ? nullptr : it->second.get();
 }
 
 bool HarmonyTcpServer::pump_updates() {
-  if (router_ == nullptr) return false;
-  std::vector<PendingUpdate> batch;
   {
+    // Swapping hands the handlers last cycle's cleared buffer, so the
+    // steady state allocates nothing.
     std::lock_guard<std::mutex> lock(updates_mutex_);
-    batch.swap(pending_updates_);
+    update_batch_.swap(pending_updates_);
   }
-  if (batch.empty()) return false;
-  for (const PendingUpdate& update : batch) {
+  if (update_batch_.empty()) return false;
+  for (const PendingUpdate& update : update_batch_) {
     Connection* connection = find_connection(update.conn);
-    if (connection == nullptr || connection->drop) continue;
+    if (connection == nullptr) continue;
     send(*connection, Message::update(update.name, update.value));
   }
+  update_batch_.clear();
   return true;
 }
 
@@ -653,9 +507,6 @@ std::string HarmonyTcpServer::new_session_token() const {
     if (token.empty()) return {};
     if (parked_.count(token) != 0) continue;
     bool in_use = false;
-    for (const auto& connection : connections_) {
-      in_use = in_use || connection->session_token == token;
-    }
     for (const auto& [id, connection] : remotes_) {
       in_use = in_use || connection->session_token == token;
     }
@@ -666,27 +517,15 @@ std::string HarmonyTcpServer::new_session_token() const {
 
 Message HarmonyTcpServer::handle_message(Connection& connection,
                                          const Message& message) {
-  if (message.verb == "METRICS") {
-    // Only reached in single-thread mode: the sharded front end answers
-    // scrapes on the owning I/O shard without a mailbox round trip.
-    return build_metrics_reply(message);
-  }
-  if (message.verb == "DOMAINS") {
-    // Likewise shard-answered when sharded; here for the poll loop.
-    return build_domains_reply(message);
-  }
-  if (message.verb == "STATUS") {
-    // Likewise shard-answered when sharded; here for the poll loop.
-    return build_status_reply(message);
-  }
+  // METRICS, DOMAINS and STATUS never get here: the owning I/O shard
+  // answers them without a mailbox round trip.
   if (message.verb == "REPL") {
     return handle_repl(connection, message);
   }
   if (standby_ && is_decision_verb(message.verb)) {
-    // Authoritative refusal. The sharded front end already redirects
-    // decision verbs at the shard (ha_accepting), but the poll loop —
-    // and any message that raced a role flip through the mailbox —
-    // lands here.
+    // Authoritative refusal. The shards already redirect decision verbs
+    // (ha_accepting), but a message that raced a role flip through the
+    // mailbox lands here.
     return not_primary_reply();
   }
   if (message.verb == "REGISTER") {
@@ -854,12 +693,13 @@ Message HarmonyTcpServer::handle_resume(Connection& connection,
   connection.session_token = token;
   connection.instances = std::move(it->second.instances);
   parked_.erase(it);
+  note_parked_count();
   // Reattaching the subscription replays each instance's current
   // configuration as synthetic decisions, flushed before the OK reply —
   // a resuming client's harmony_wait_for_update sees a complete
   // pending-variable snapshot exactly as a fresh registrant would. The
-  // whole replay leaves as one buffered write (the dispatch cork / the
-  // sharded egress batch), not one send per variable.
+  // whole replay leaves in the connection's one egress batch, not one
+  // send per variable.
   // Instances whose subscription fails already departed; drop them from
   // the session for good, or they would be re-parked and retried on
   // every reconnect cycle.
@@ -950,17 +790,12 @@ bool HarmonyTcpServer::pump_replication() {
   if (feed_ == nullptr) return false;
   bool progress = false;
   // Ship journal batches queued by the tap since the last cycle.
-  auto ship_to = [&](Connection& connection) {
-    if (!connection.is_replica || connection.drop) return;
-    for (Message& frame : feed_->take_pending(connection.id)) {
-      send(connection, frame);
+  for (auto& [id, connection] : remotes_) {
+    if (!connection->is_replica) continue;
+    for (Message& frame : feed_->take_pending(id)) {
+      send(*connection, frame);
       progress = true;
     }
-  };
-  if (sharded()) {
-    for (auto& [id, connection] : remotes_) ship_to(*connection);
-  } else {
-    for (auto& connection : connections_) ship_to(*connection);
   }
   // Release semi-sync replies in arrival order: acked, timed out, or
   // moot (no subscribers left — durability degrades to local-only
@@ -975,10 +810,7 @@ bool HarmonyTcpServer::pump_replication() {
         break;
       }
       Connection* connection = find_connection(head.conn);
-      if (connection != nullptr && !connection->drop) {
-        send(*connection, head.reply);
-        if (!sharded()) flush_writable(*connection);
-      }
+      if (connection != nullptr) send(*connection, head.reply);
       deferred_.pop_front();
       progress = true;
     }
@@ -987,40 +819,12 @@ bool HarmonyTcpServer::pump_replication() {
 }
 
 void HarmonyTcpServer::send(Connection& connection, const Message& message) {
-  if (connection.drop) return;
   frames_out_total_->increment();
-  if (sharded()) {
-    // Coalesce: every frame this drain cycle produces for a recipient
-    // joins one staged batch, shipped to its shard as a single buffer
-    // (flushed there with one writev).
-    if (connection.staged.empty()) egress_dirty_.push_back(&connection);
-    connection.staged += encode_frame(message.encode());
-    return;
-  }
-  connection.outbound += encode_frame(message.encode());
-  if (connection.outbound.size() > config_.outbound_high_water) {
-    HLOG_WARN("server")
-        << "slow consumer over the high-water mark; disconnecting";
-    connection.drop = true;
-    if (connection.session_token.empty()) {
-      backpressure_drops_total_->increment();
-    }
-    return;
-  }
-  if (!connection.corked) flush_writable(connection);
-}
-
-void HarmonyTcpServer::flush_writable(Connection& connection) {
-  while (!connection.outbound.empty()) {
-    auto n = write_some(connection.fd, connection.outbound.data(),
-                        connection.outbound.size());
-    if (!n.ok()) {
-      connection.drop = true;
-      return;
-    }
-    if (n.value() == 0) return;  // would block; poll will retry
-    connection.outbound.erase(0, n.value());
-  }
+  // Coalesce: every frame this drain cycle produces for a recipient
+  // joins one staged batch, shipped to its shard as a single buffer
+  // (flushed there with one writev).
+  if (connection.staged.empty()) egress_dirty_.push_back(&connection);
+  connection.staged += encode_frame(message.encode());
 }
 
 void HarmonyTcpServer::park_or_end(Connection& connection) {
@@ -1044,6 +848,7 @@ void HarmonyTcpServer::park_or_end(Connection& connection) {
         std::move(connection.instances),
         std::chrono::steady_clock::now() +
             std::chrono::milliseconds(session_grace_ms_)};
+    note_parked_count();
     connection.instances.clear();
     return;
   }
@@ -1057,19 +862,6 @@ void HarmonyTcpServer::park_or_end(Connection& connection) {
   connection.instances.clear();
 }
 
-void HarmonyTcpServer::reap_dropped() {
-  // All implicit harmony_ends from one poll iteration share an epoch.
-  MaybeEpoch epoch(standby_ ? nullptr : controller_);
-  for (auto& connection : connections_) {
-    if (!connection->drop) continue;
-    park_or_end(*connection);
-  }
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(),
-                     [](const auto& c) { return c->drop; }),
-      connections_.end());
-}
-
 void HarmonyTcpServer::reap_expired_sessions() {
   // A standby's parked set (if any) mirrors the primary's decisions;
   // expiring locally would mutate a controller the applier owns.
@@ -1077,7 +869,7 @@ void HarmonyTcpServer::reap_expired_sessions() {
   if (parked_.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   // Scan before binding: idle ticks with nothing expired must not claim
-  // controller ownership (see drain_once).
+  // controller ownership (see run_once).
   bool any_expired = false;
   for (const auto& entry : parked_) {
     if (entry.second.deadline <= now) {
@@ -1101,6 +893,7 @@ void HarmonyTcpServer::reap_expired_sessions() {
     if (persistence_ != nullptr) persistence_->drop_session(it->first);
     it = parked_.erase(it);
   }
+  note_parked_count();
 }
 
 }  // namespace harmony::net

@@ -15,13 +15,11 @@
 // run_once() — remains the only writer of core state, so every
 // decision-identity, journaling, and resumption invariant of the
 // single-threaded design holds: journal order is mailbox drain order.
-// Outbound UPDATE frames produced by one flush epoch are coalesced
-// per recipient and shipped as a single writev batch. The original
-// single-threaded poll(2) loop is kept behind ServerConfig::io_shards
-// = 0 as the measured baseline for bench/abl_server.
+// Variable updates from either decision core land in one id-keyed
+// queue that the controller thread pumps into per-recipient egress;
+// the frames one drain cycle produces for a connection are coalesced
+// and shipped as a single writev batch.
 #pragma once
-
-#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -45,8 +43,8 @@
 namespace harmony::net {
 
 struct ServerConfig {
-  // Number of I/O shard threads. -1 = min(4, hardware_concurrency);
-  // 0 = the original single-threaded poll(2) loop (the A/B baseline).
+  // Number of I/O shard threads; values below 1 pick
+  // min(4, hardware_concurrency).
   int io_shards = -1;
   // Slow-consumer cutoff: a connection whose outbound backlog exceeds
   // this many bytes is disconnected instead of buffering unboundedly —
@@ -105,9 +103,8 @@ class HarmonyTcpServer {
   // core instead of a single controller — REGISTER/LOAD/END land on the
   // owning domain's worker. The router is published for the {DOMAINS}
   // wire verb and the harmonyDomains console command for the server's
-  // lifetime. Variable updates fire on domain worker threads; the
-  // server queues them and ships from the controller thread, so UPDATE
-  // frames still precede the reply that caused them.
+  // lifetime. Variable updates fire on domain worker threads and join
+  // the same queue a controller core feeds.
   HarmonyTcpServer(core::DomainRouter* router, uint16_t port,
                    ServerConfig config = {});
   ~HarmonyTcpServer();
@@ -135,9 +132,8 @@ class HarmonyTcpServer {
   Result<uint16_t> start();  // bind + listen + spawn I/O shards
   uint16_t port() const { return port_; }
 
-  // Runs one controller iteration: sharded mode drains the mailbox and
-  // dispatches every decoded message; single-thread mode runs one
-  // accept/read/dispatch/write poll tick. Returns true on progress.
+  // Runs one controller iteration: drains the mailbox, dispatches every
+  // decoded message and ships the egress. Returns true on progress.
   bool run_once(int timeout_ms);
   // Loops until stop() (from any thread) or `until_idle_ms` of
   // inactivity when positive. The calling thread binds itself as the
@@ -148,26 +144,22 @@ class HarmonyTcpServer {
   void run(int until_idle_ms = -1);
   void stop();
 
+  // Both counts are readable from any thread.
   size_t connection_count() const {
-    return io_shard_count_ > 0
-               ? shard_connections_.load(std::memory_order_relaxed)
-               : connections_.size();
+    return shard_connections_.load(std::memory_order_relaxed);
   }
-  size_t parked_session_count() const { return parked_.size(); }
+  size_t parked_session_count() const {
+    return parked_count_.load(std::memory_order_relaxed);
+  }
   int io_shards() const { return io_shard_count_; }
 
  private:
+  // Controller-side view of a shard-owned connection; the socket lives
+  // in its shard.
   struct Connection {
-    // Sharded mode: mailbox identity; the socket lives in its shard.
-    uint64_t id = 0;
+    uint64_t id = 0;  // mailbox identity
     int shard = 0;
     std::string staged;  // frames coalesced for the next ship
-    // Single-thread mode: the socket and its buffers live here.
-    Fd fd;
-    FrameBuffer inbound;
-    std::string outbound;
-    bool corked = false;  // buffer sends until the dispatch completes
-    // Shared protocol state.
     std::vector<core::InstanceId> instances;
     // Resume token issued at the first v2 REGISTER (empty for v1
     // clients, whose disconnect is an implicit harmony_end).
@@ -175,7 +167,6 @@ class HarmonyTcpServer {
     // This connection completed a {REPL HELLO}: it is a standby
     // subscribed to the journal stream, not an application.
     bool is_replica = false;
-    bool drop = false;
   };
   // A semi-sync reply withheld until a standby acks the journal
   // position that covers its effect (or the deadline passes).
@@ -190,26 +181,18 @@ class HarmonyTcpServer {
     std::vector<core::InstanceId> instances;
     std::chrono::steady_clock::time_point deadline;
   };
-  // A variable update queued by a domain worker thread for a
-  // connection, identified by id (never by pointer: the connection may
-  // be gone by the time the controller thread pumps the queue).
+  // A variable update queued for a connection, identified by id (never
+  // by pointer: the connection may be gone by the time the controller
+  // thread pumps the queue).
   struct PendingUpdate {
     uint64_t conn = 0;
     std::string name;
     std::string value;
   };
 
-  bool sharded() const { return io_shard_count_ > 0; }
-  void serve_loop(int until_idle_ms);
-  // Sharded controller tick: drain mailbox, dispatch, ship egress.
-  bool drain_once(int timeout_ms);
   bool process_net_event(NetEvent& event);
   void ship_staged();
   void shutdown_shards();
-  // Single-thread poll tick (the legacy loop).
-  bool poll_once(int timeout_ms);
-  void accept_new();
-  void handle_readable(Connection& connection);
   void dispatch(Connection& connection, const Message& message);
   Message handle_message(Connection& connection, const Message& message);
   Message handle_resume(Connection& connection, const std::string& token);
@@ -222,12 +205,12 @@ class HarmonyTcpServer {
   // True when this OK reply must wait for a standby ack.
   bool should_defer_reply(const std::string& verb, const Message& reply) const;
   void send(Connection& connection, const Message& message);
-  void flush_writable(Connection& connection);
   // Parks a resumable connection's session or synthesizes the DEPARTs.
   // The caller provides the epoch scope.
   void park_or_end(Connection& connection);
-  void reap_dropped();
   void reap_expired_sessions();
+  // Publishes parked_.size() to parked_count_; call after every change.
+  void note_parked_count();
   // Detaches a connection at server teardown: parks tokened sessions'
   // subscriptions, unregisters the rest.
   void detach_connection(Connection& connection);
@@ -258,8 +241,8 @@ class HarmonyTcpServer {
   Status ctl_resize(core::InstanceId id, const std::string& bundle,
                     double workers);
   Status ctl_reevaluate();
-  // Routed mode: drains the worker-queued updates into the normal send
-  // path on the controller thread. Returns true if anything shipped.
+  // Drains the queued updates into the normal send path on the
+  // controller thread. Returns true if anything shipped.
   bool pump_updates();
   Connection* find_connection(uint64_t id);
 
@@ -275,16 +258,12 @@ class HarmonyTcpServer {
   ServerConfig config_;
   uint16_t port_;
   int io_shard_count_ = 0;  // resolved at start()
-  Fd listener_;             // single-thread mode (shard 0 owns it otherwise)
-  Fd accept_reserve_;       // EMFILE headroom for the single-thread loop
-  std::vector<std::unique_ptr<Connection>> connections_;  // single-thread
-  std::map<std::string, ParkedSession> parked_;
+  std::map<std::string, ParkedSession> parked_;  // controller thread only
+  // parked_.size(), published after every change for other threads.
+  std::atomic<size_t> parked_count_ = 0;
   std::atomic<int> session_grace_ms_ = 30000;
-  // Reused across poll ticks; resized only when the connection set
-  // changes, so the steady-state poll loop allocates nothing.
-  std::vector<pollfd> pollfds_;
 
-  // --- sharded front end --------------------------------------------------
+  // --- I/O front end ------------------------------------------------------
   Mailbox mailbox_;
   std::vector<std::unique_ptr<IoShard>> shards_;
   // Controller-side view of shard-owned connections, by mailbox id.
@@ -305,10 +284,12 @@ class HarmonyTcpServer {
   metric::Gauge* parked_gauge_;
   metric::Histogram* mailbox_wait_us_;
 
-  // Routed mode: update handlers fire on domain worker threads and
-  // append here; the controller thread pumps into send().
+  // Update handlers append here from whichever thread flushes the
+  // decision (a domain worker, or the controller thread itself); the
+  // controller thread pumps into send().
   std::mutex updates_mutex_;
   std::vector<PendingUpdate> pending_updates_;  // guarded by updates_mutex_
+  std::vector<PendingUpdate> update_batch_;  // controller thread only
 
   // stop() may be called from another thread (tests, signal handlers);
   // everything else on the controller side is single-threaded.

@@ -408,46 +408,5 @@ TEST_F(MetricsTest, DomainsVerbWithoutRouterIsNotFound) {
   EXPECT_EQ(reply.value().args[0], error_code_name(ErrorCode::kNotFound));
 }
 
-TEST_F(MetricsTest, RoutedSingleThreadModeServesProtocol) {
-  // The legacy poll loop with a partitioned core behind it: dispatch,
-  // variable updates (pumped from worker threads) and the DOMAINS
-  // fallback in handle_message all work without shards.
-  ServerConfig config;
-  config.io_shards = 0;
-  start_router_server(config);
-
-  TcpTransport app;
-  ASSERT_TRUE(app.connect("localhost", port_).ok());
-  auto id = app.register_app(swarm_bundle(0));
-  ASSERT_TRUE(id.ok()) << id.error().to_string();
-
-  RawClient client;
-  ASSERT_TRUE(client.connect(port_).ok());
-  auto reply = client.call(Message{"DOMAINS", {}});
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  ASSERT_EQ(reply.value().verb, "OK");
-  auto rows = rsl::list_parse(reply.value().args[0]);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 1u);
-}
-
-TEST_F(MetricsTest, SingleThreadModeAnswersMetrics) {
-  ServerConfig config;
-  config.io_shards = 0;  // legacy poll(2) loop: handle_message path
-  start_server(config, /*run_controller=*/true);
-
-  TcpTransport app;
-  ASSERT_TRUE(app.connect("localhost", port_).ok());
-  ASSERT_TRUE(app.register_app(swarm_bundle(0)).ok());
-
-  RawClient client;
-  ASSERT_TRUE(client.connect(port_).ok());
-  auto reply = client.call(Message{"METRICS", {}});
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  ASSERT_EQ(reply.value().verb, "OK");
-  EXPECT_NE(reply.value().args[0].find("harmony_controller_epochs_total"),
-            std::string::npos);
-}
-
 }  // namespace
 }  // namespace harmony::net

@@ -83,7 +83,7 @@ class ResumeTest : public ::testing::Test {
     }
   }
 
-  // Tears the whole server side down (poll loop, sockets, persistence)
+  // Tears the whole server side down (serve loop, sockets, persistence)
   // as a crash-then-restart would; the journal/snapshot files remain.
   void destroy_server() {
     stop_server();
@@ -377,7 +377,7 @@ TEST_F(ResumeTest, ClientTeardownSurvivesDeadServer) {
   client.poll_updates();
   EXPECT_EQ(*option, "QS");
 
-  // The server vanishes — poll loop stopped, sockets closed.
+  // The server vanishes — serve loop stopped, sockets closed.
   stop_server();
   server_.reset();
 

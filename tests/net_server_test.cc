@@ -13,6 +13,7 @@
 
 #include "apps/scenarios.h"
 #include "client/client.h"
+#include "core/domain.h"
 #include "net/tcp_transport.h"
 
 namespace harmony::net {
@@ -24,7 +25,11 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(
         controller_.add_nodes_script(apps::db_cluster_script(3)).ok());
     ASSERT_TRUE(controller_.finalize_cluster().ok());
-    server_ = std::make_unique<HarmonyTcpServer>(&controller_, 0);
+    start(std::make_unique<HarmonyTcpServer>(&controller_, 0));
+  }
+
+  void start(std::unique_ptr<HarmonyTcpServer> server) {
+    server_ = std::move(server);
     auto port = server_->start();
     ASSERT_TRUE(port.ok()) << port.ok();
     port_ = port.value();
@@ -36,7 +41,7 @@ class ServerTest : public ::testing::Test {
     server_.reset();
   }
 
-  // Stops the poll loop; afterwards the controller is safe to inspect
+  // Stops the serve loop; afterwards the controller is safe to inspect
   // from the test thread.
   void shutdown_server() {
     if (server_thread_.joinable()) {
@@ -56,6 +61,39 @@ class ServerTest : public ::testing::Test {
         "      {link client server 2.5}}\n"
         "}\n",
         i, i - 1, i - 1);
+  }
+
+  void check_three_clients_trigger_switch() {
+    // Three separate connections, as three separate client processes
+    // would make.
+    std::vector<std::unique_ptr<TcpTransport>> transports;
+    std::vector<core::InstanceId> ids;
+    for (int i = 1; i <= 3; ++i) {
+      transports.push_back(std::make_unique<TcpTransport>());
+      ASSERT_TRUE(transports.back()->connect("localhost", port_).ok());
+      auto id = transports.back()->register_app(client_bundle(i));
+      ASSERT_TRUE(id.ok());
+      ids.push_back(id.value());
+    }
+    // The third registration flips everyone to data shipping.
+    for (int i = 0; i < 3; ++i) {
+      auto option = transports[i]->get_variable(ids[i], "where.option");
+      ASSERT_TRUE(option.ok());
+      EXPECT_EQ(option.value(), "DS") << "client " << i + 1;
+    }
+    // Pushed updates arrive on the first clients' connections.
+    bool saw_ds_update = false;
+    ASSERT_TRUE(transports[0]
+                    ->subscribe(ids[0],
+                                [&](const std::string& name,
+                                    const std::string& value) {
+                                  if (name == "where" && value == "DS") {
+                                    saw_ds_update = true;
+                                  }
+                                })
+                    .ok());
+    ASSERT_TRUE(transports[0]->pump().ok());
+    EXPECT_TRUE(saw_ds_update);
   }
 
   core::Controller controller_;
@@ -92,42 +130,34 @@ TEST_F(ServerTest, FullClientLibraryOverTcp) {
 }
 
 TEST_F(ServerTest, ThreeClientsTriggerSwitchOverTcp) {
-  // Three separate connections, as three separate client processes
-  // would make.
-  std::vector<std::unique_ptr<TcpTransport>> transports;
-  std::vector<core::InstanceId> ids;
-  for (int i = 1; i <= 3; ++i) {
-    transports.push_back(std::make_unique<TcpTransport>());
-    ASSERT_TRUE(transports.back()->connect("localhost", port_).ok());
-    auto id = transports.back()->register_app(client_bundle(i));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
+  check_three_clients_trigger_switch();
+}
+
+// The same server over a partitioned decision core: updates fire on
+// domain worker threads and reach other connections through the
+// server's queue and the I/O shards.
+class RoutedServerTest : public ServerTest {
+ protected:
+  void SetUp() override {
+    core::DomainRouterConfig config;
+    config.workers = 2;
+    router_ = std::make_unique<core::DomainRouter>(config);
+    ASSERT_TRUE(router_->add_nodes_script(apps::db_cluster_script(3)).ok());
+    ASSERT_TRUE(router_->finalize_cluster().ok());
+    start(std::make_unique<HarmonyTcpServer>(router_.get(), 0));
   }
-  // The third registration flips everyone to data shipping.
-  for (int i = 0; i < 3; ++i) {
-    auto option = transports[i]->get_variable(ids[i], "where.option");
-    ASSERT_TRUE(option.ok());
-    EXPECT_EQ(option.value(), "DS") << "client " << i + 1;
-  }
-  // Pushed updates arrive on the first clients' connections.
-  bool saw_ds_update = false;
-  ASSERT_TRUE(transports[0]
-                  ->subscribe(ids[0],
-                              [&](const std::string& name,
-                                  const std::string& value) {
-                                if (name == "where" && value == "DS") {
-                                  saw_ds_update = true;
-                                }
-                              })
-                  .ok());
-  ASSERT_TRUE(transports[0]->pump().ok());
-  EXPECT_TRUE(saw_ds_update);
+
+  std::unique_ptr<core::DomainRouter> router_;
+};
+
+TEST_F(RoutedServerTest, ThreeClientsTriggerSwitchOverTcp) {
+  check_three_clients_trigger_switch();
 }
 
 TEST_F(ServerTest, DisconnectImpliesEnd) {
   // TcpTransport registers with protocol v2, so a hangup first parks
   // the session; a zero grace window makes the park expire on the next
-  // poll tick, synthesizing the DEPART.
+  // drain cycle, synthesizing the DEPART.
   server_->set_session_grace_ms(0);
   {
     TcpTransport transport;
@@ -137,7 +167,7 @@ TEST_F(ServerTest, DisconnectImpliesEnd) {
     EXPECT_FALSE(transport.session_token().empty());
     // Transport (and socket) drop here without END.
   }
-  // Give the poll loop time to notice the hangup, then stop it so the
+  // Give the serve loop time to notice the hangup, then stop it so the
   // controller can be inspected race-free.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   shutdown_server();

@@ -484,6 +484,12 @@ int run(const Options& options) {
   }
   ok = ok && overhead.ok && overhead.gate_met;
 
+  if (options.smoke) {
+    // Smoke validates the gates at reduced scale without clobbering the
+    // full-size numbers.
+    std::printf("\nsmoke mode: BENCH_failover.json not rewritten\n");
+    return ok ? 0 : 1;
+  }
   std::string iterations_json;
   for (const auto& result : failovers) {
     if (!iterations_json.empty()) iterations_json += ",";

@@ -378,7 +378,7 @@ SwarmRun run_swarm(const harmony::testing::SwarmConfig& swarm, SwarmMode mode,
     solver.seed = 0x5eed5eedULL;
     // Trimmed pair sampling: at 40 bundles per domain a converged pass
     // must still finish one full no-improvement round well inside the
-    // budget. swap_choices stays at its default of 3 — the packing
+    // budget. The solver's swap shortlist holds 3 choices — the packing
     // wedge (grant 3 + grant 1 -> grant 2 + grant 2) needs the middle
     // grant in BOTH shortlists, and a 2-choice shortlist can never
     // reach it.

@@ -625,6 +625,12 @@ int run(const Options& options) {
   }
   ok = ok && telemetry.ok && telemetry.gate_met;
 
+  if (options.smoke) {
+    // Smoke validates the gates at reduced scale without clobbering the
+    // full-size numbers.
+    std::printf("\nsmoke mode: BENCH_server.json not rewritten\n");
+    return ok ? 0 : 1;
+  }
   FILE* out = std::fopen("BENCH_server.json", "w");
   if (out != nullptr) {
     std::fprintf(

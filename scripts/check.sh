@@ -32,19 +32,21 @@ run_config asan build-asan -DHARMONY_SANITIZE=ON
 # TSan: only the multi-threaded suites — building the whole tree under
 # a third config would double the sweep for tests that never leave one
 # thread. The decision core's domain workers, the I/O shards and their
-# mailbox, and the update queue all cross threads. apps_malleable_test
-# rides along: the mid-iteration resize storm exercises the join/retire
-# protocol.
+# mailbox, the update queue, the journal's group-commit fsync thread,
+# the lease heartbeat and the replication tap all cross threads.
+# apps_malleable_test rides along: the mid-iteration resize storm
+# exercises the join/retire protocol.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DHARMONY_TSAN=ON
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$jobs" \
   --target core_domain_test core_storm_test core_solver_test \
   core_scale_test apps_malleable_test net_server_test net_resume_test \
-  net_scale_test net_metrics_test
+  net_scale_test net_metrics_test persist_stream_test persist_crash_test \
+  replica_failover_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R '^(core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics))_test$'
+  -R '^(core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics)|persist_(stream|crash)|replica_failover)_test$'
 
 # Anytime-allocator gates at smoke scale: budget_ms = 0 bit-identity,
 # solver <= greedy, strict improvement on packing-stress. Does not
@@ -64,8 +66,8 @@ cmake --build build -j "$jobs" --target abl_failover
 
 # Scoped-domain scaling at smoke scale: 250- and 1k-node clusters with
 # the same fixed workload, decision fingerprints bit-identical to the
-# --single-domain reference. Does not rewrite BENCH_scale.json numbers
-# used in the README (those come from the full sweep).
+# --single-domain reference. Does not rewrite BENCH_scale.json (the
+# README numbers come from the full sweep).
 echo "=== [bench] abl_scale --smoke ==="
 cmake --build build -j "$jobs" --target abl_scale
 ./build/bench/abl_scale --smoke

@@ -61,12 +61,11 @@ class Search {
  public:
   Search(const std::vector<NodeRequirement>& requirements,
          const std::vector<LinkRequirement>& links, ResourceView& pool,
-         MatchPolicy policy, const DimensionNorm& norm)
+         MatchPolicy policy)
       : requirements_(requirements),
         links_(links),
         pool_(pool),
         policy_(policy),
-        norm_(norm),
         placed_(requirements.size(), kInvalidNode),
         order_(requirements.size()) {
     for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
@@ -130,18 +129,19 @@ class Search {
     return false;
   }
 
-  // Weighted utilization of `node` after hosting `req`: the vector
-  // bin-packing score. Memory is a hard capacity; load is time-shared,
-  // normalized by speed * reference_load.
+  // Utilization of `node` after hosting `req`, memory and load weighted
+  // equally: the vector bin-packing score. Memory is a hard capacity;
+  // load is time-shared and has none, so it is normalized by
+  // speed * kReferenceLoad, the number of unit-speed processes that
+  // count as a "full" CPU bin.
   double vector_score(const NodeRequirement& req, const NodeInfo& node) const {
     double total = pool_.total_memory(node.id);
     double used = total - pool_.available_memory(node.id) + req.memory_mb;
     double memory_term = total > 0 ? used / total : 0.0;
     double speed = node.speed > 0 ? node.speed : 1.0;
-    double reference = norm_.reference_load > 0 ? norm_.reference_load : 1.0;
     double load_term = (pool_.effective_load(node.id) + 1.0) /
-                       (speed * reference);
-    return norm_.memory_weight * memory_term + norm_.load_weight * load_term;
+                       (speed * kReferenceLoad);
+    return memory_term + load_term;
   }
 
   std::vector<NodeId> candidates(const NodeRequirement& req) const {
@@ -237,11 +237,12 @@ class Search {
     return false;
   }
 
+  static constexpr double kReferenceLoad = 4.0;
+
   const std::vector<NodeRequirement>& requirements_;
   const std::vector<LinkRequirement>& links_;
   ResourceView& pool_;
   MatchPolicy policy_;
-  DimensionNorm norm_;
   std::vector<NodeId> placed_;
   std::vector<size_t> order_;
 };
@@ -263,7 +264,7 @@ Result<Allocation> Matcher::match(
                              "negative memory requirement for role " + req.role);
     }
   }
-  Search search(requirements, links, pool, policy_, norm_);
+  Search search(requirements, links, pool, policy_);
   if (!search.run()) {
     return Err<Allocation>(
         ErrorCode::kNoMatch,

@@ -53,19 +53,6 @@ enum class MatchPolicy {
 
 const char* match_policy_name(MatchPolicy policy);
 
-// Weights for the multi-capacity utilization norm used by the vector
-// policies. A node's score is
-//   memory_weight * (reserved + demand) / total_memory
-//   + load_weight * (effective_load + 1) / (speed * reference_load)
-// where reference_load is how many unit-speed processes count as a
-// "full" CPU bin — time-shared load has no hard capacity, so the norm
-// needs a reference scale to mix it with the hard memory dimension.
-struct DimensionNorm {
-  double memory_weight = 1.0;
-  double load_weight = 1.0;
-  double reference_load = 4.0;
-};
-
 struct Allocation {
   struct Entry {
     NodeRequirement requirement;
@@ -85,12 +72,10 @@ struct Allocation {
 
 class Matcher {
  public:
-  explicit Matcher(MatchPolicy policy = MatchPolicy::kFirstFit,
-                   DimensionNorm norm = {})
-      : policy_(policy), norm_(norm) {}
+  explicit Matcher(MatchPolicy policy = MatchPolicy::kFirstFit)
+      : policy_(policy) {}
 
   MatchPolicy policy() const { return policy_; }
-  const DimensionNorm& norm() const { return norm_; }
 
   // Finds a placement satisfying every requirement and link constraint,
   // reserving memory in the pool. On failure nothing is reserved.
@@ -106,7 +91,6 @@ class Matcher {
 
  private:
   MatchPolicy policy_;
-  DimensionNorm norm_;
 };
 
 }  // namespace harmony::cluster

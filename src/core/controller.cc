@@ -29,7 +29,6 @@ void must_set_string(Namespace& names, const std::string& path,
 Controller::Controller(ControllerConfig config) : config_(std::move(config)) {
   objective_ = make_objective(config_.objective);
   HARMONY_ASSERT_MSG(objective_ != nullptr, "unknown objective name");
-  predictor_ = Predictor(config_.local_bandwidth_mbps);
   predictor_.set_comm_occupancy(config_.comm_occupancy_s_per_mb);
   optimizer_ = std::make_unique<Optimizer>(&predictor_, objective_.get(),
                                            config_.optimizer);
@@ -89,7 +88,7 @@ void Controller::end_epoch() {
   }
   // One coherent flush per external event, however many decision
   // batches it produced.
-  if (config_.auto_flush) flush_pending_vars();
+  flush_pending_vars();
   // Journal batching point: the persist layer writes (and fsyncs) all
   // events of this epoch as one batch, keeping the decision path free
   // of per-event disk latency.

@@ -2,8 +2,8 @@
 // event-driven component that accepts application bundles, matches
 // resource requirements against the cluster, chooses tuning options to
 // optimize a global objective, and pushes variable updates back to
-// applications. Updates are buffered until flush_pending_vars(), as in
-// the prototype's flushPendingVars() call.
+// applications. Updates are buffered and flushed once at the close of
+// each epoch (flush_pending_vars(), the prototype's flushPendingVars()).
 #pragma once
 
 #include <atomic>
@@ -30,14 +30,9 @@ struct ControllerConfig {
   OptimizerConfig optimizer;
   // One of: "mean", "makespan", "throughput".
   std::string objective = "mean";
-  double local_bandwidth_mbps = 8000.0;
   // LogP-style endpoint CPU occupancy per transferred MB in the default
   // performance model (§3.4); 0 = the paper's plain wire-time model.
   double comm_occupancy_s_per_mb = 0.0;
-  // Deliver variable updates immediately after each decision instead of
-  // waiting for an explicit flush (convenient for tests; the prototype
-  // buffers until flushPendingVars()).
-  bool auto_flush = true;
   // Record the global objective as a metric after every applied epoch.
   // The evaluation is O(live instances); front ends driving thousands
   // of instances through steering epochs turn it off so an O(1) input
@@ -87,7 +82,7 @@ class Controller {
 
   // RAII scope grouping decisions into one optimization epoch. Variable
   // updates queued anywhere inside the outermost scope are flushed once
-  // at its close (under auto_flush), together with one coherent set of
+  // at its close, together with one coherent set of
   // decision-path telemetry (epoch latency, candidates evaluated, skips,
   // cache hits and misses). Every controller entry point
   // opens one internally; callers that fan several calls into one

@@ -763,129 +763,92 @@ Status DomainRouter::unregister(InstanceId id) {
 
 Status DomainRouter::report_external_load(const std::string& hostname,
                                           int concurrent_tasks) {
-  // Mirrors Controller::report_external_load's validation order so
-  // callers see identical errors.
-  if (!cluster_finalized()) {
-    return Status(ErrorCode::kInvalidArgument, "cluster not finalized");
-  }
-  if (concurrent_tasks < 0) {
-    return Status(ErrorCode::kInvalidArgument, "load must be non-negative");
-  }
-  auto node = template_.topology().find_by_hostname(hostname);
-  if (!node.ok()) return Status(node.error().code, node.error().message);
-  const double time = sample_now();
-  const uint32_t owner =
-      node.value() < node_domain_.size() ? node_domain_[node.value()] : 0;
-  if (owner != 0) {
-    Domain& domain = *domains_.at(owner);
-    auto status = run_on_domain<Status>(
-        domain, time, [&hostname, concurrent_tasks](Controller& c) {
-          return c.report_external_load(hostname, concurrent_tasks);
-        });
-    if (status.ok()) {
-      if (concurrent_tasks == 0) {
-        external_load_.erase(node.value());
-      } else {
-        external_load_[node.value()] = concurrent_tasks;
-      }
-    }
-    return status;
-  }
-  // No domain owns the node: record in the master state and journal a
-  // router-level event, so recovery replays the same input sequence the
-  // single-controller path would have journaled.
-  auto load_it = external_load_.find(node.value());
-  const int current = load_it == external_load_.end() ? 0 : load_it->second;
-  if (current == concurrent_tasks) return Status::Ok();
-  if (concurrent_tasks == 0) {
-    external_load_.erase(node.value());
-  } else {
-    external_load_[node.value()] = concurrent_tasks;
-  }
-  ControllerEvent event;
-  event.kind = ControllerEvent::Kind::kExternalLoad;
-  event.text = hostname;
-  event.value = concurrent_tasks;
-  journal_router_event(std::move(event), time);
-  return Status::Ok();
+  return node_event(ControllerEvent::Kind::kExternalLoad, hostname,
+                    concurrent_tasks, /*post=*/false);
 }
 
 Status DomainRouter::post_external_load(const std::string& hostname,
                                         int concurrent_tasks) {
-  if (!cluster_finalized()) {
-    return Status(ErrorCode::kInvalidArgument, "cluster not finalized");
-  }
-  if (concurrent_tasks < 0) {
-    return Status(ErrorCode::kInvalidArgument, "load must be non-negative");
-  }
-  auto node = template_.topology().find_by_hostname(hostname);
-  if (!node.ok()) return Status(node.error().code, node.error().message);
-  const double time = sample_now();
-  const uint32_t owner =
-      node.value() < node_domain_.size() ? node_domain_[node.value()] : 0;
-  if (owner == 0) {
-    // Same path as the synchronous call — nothing to defer.
-    return report_external_load(hostname, concurrent_tasks);
-  }
-  // Master state reflects the post immediately (it is the input
-  // sequence); the owning worker applies it in queue order, and any
-  // merge/split first drains that queue, so the event lands against
-  // the domain that owned the node when it was posted.
-  if (concurrent_tasks == 0) {
-    external_load_.erase(node.value());
-  } else {
-    external_load_[node.value()] = concurrent_tasks;
-  }
-  Domain& domain = *domains_.at(owner);
-  post_on_domain(domain, time,
-                 [hostname, concurrent_tasks](Controller& c) {
-                   auto status = c.report_external_load(hostname,
-                                                        concurrent_tasks);
-                   HARMONY_ASSERT_MSG(status.ok(),
-                                      "posted load report failed");
-                 });
-  return Status::Ok();
+  return node_event(ControllerEvent::Kind::kExternalLoad, hostname,
+                    concurrent_tasks, /*post=*/true);
 }
 
 Status DomainRouter::set_node_online(const std::string& hostname,
                                      bool online) {
+  return node_event(ControllerEvent::Kind::kNodeOnline, hostname,
+                    online ? 1 : 0, /*post=*/false);
+}
+
+Status DomainRouter::node_event(ControllerEvent::Kind kind,
+                                const std::string& hostname, int value,
+                                bool post) {
+  const bool load = kind == ControllerEvent::Kind::kExternalLoad;
+  // Mirrors the Controller's validation order so callers see identical
+  // errors.
   if (!cluster_finalized()) {
     return Status(ErrorCode::kInvalidArgument, "cluster not finalized");
   }
-  auto node = template_.topology().find_by_hostname(hostname);
-  if (!node.ok()) return Status(node.error().code, node.error().message);
+  if (load && value < 0) {
+    return Status(ErrorCode::kInvalidArgument, "load must be non-negative");
+  }
+  auto found = template_.topology().find_by_hostname(hostname);
+  if (!found.ok()) return Status(found.error().code, found.error().message);
+  const cluster::NodeId node = found.value();
   const double time = sample_now();
-  const uint32_t owner =
-      node.value() < node_domain_.size() ? node_domain_[node.value()] : 0;
-  if (owner != 0) {
-    Domain& domain = *domains_.at(owner);
-    auto status = run_on_domain<Status>(
-        domain, time, [&hostname, online](Controller& c) {
-          return c.set_node_online(hostname, online);
-        });
-    if (status.ok()) {
-      if (online) {
-        node_offline_.erase(node.value());
+  // Master state: the load (absent = 0) or the online flag (absent =
+  // online).
+  auto record = [this, load, node, value] {
+    if (load) {
+      if (value == 0) {
+        external_load_.erase(node);
       } else {
-        node_offline_[node.value()] = true;
+        external_load_[node] = value;
       }
+    } else if (value != 0) {
+      node_offline_.erase(node);
+    } else {
+      node_offline_[node] = true;
     }
-    return status;
+  };
+  const uint32_t owner = node < node_domain_.size() ? node_domain_[node] : 0;
+  if (owner == 0) {
+    // No domain owns the node: record in the master state and journal a
+    // router-level event, so recovery replays the same input sequence
+    // the single-controller path would have journaled.
+    auto load_it = external_load_.find(node);
+    const int current =
+        load ? (load_it == external_load_.end() ? 0 : load_it->second)
+             : (node_offline_.count(node) == 0 ? 1 : 0);
+    if (current == value) return Status::Ok();
+    record();
+    ControllerEvent event;
+    event.kind = kind;
+    event.text = hostname;
+    event.value = value;
+    journal_router_event(std::move(event), time);
+    return Status::Ok();
   }
-  const bool currently_online =
-      node_offline_.find(node.value()) == node_offline_.end();
-  if (currently_online == online) return Status::Ok();
-  if (online) {
-    node_offline_.erase(node.value());
-  } else {
-    node_offline_[node.value()] = true;
+  auto apply = [load, value](Controller& c, const std::string& host) {
+    return load ? c.report_external_load(host, value)
+                : c.set_node_online(host, value != 0);
+  };
+  Domain& domain = *domains_.at(owner);
+  if (post) {
+    // Master state reflects the post immediately (it is the input
+    // sequence); the owning worker applies it in queue order, and any
+    // merge/split first drains that queue, so the event lands against
+    // the domain that owned the node when it was posted.
+    record();
+    post_on_domain(domain, time, [apply, hostname](Controller& c) {
+      auto status = apply(c, hostname);
+      HARMONY_ASSERT_MSG(status.ok(), "posted node event failed");
+    });
+    return Status::Ok();
   }
-  ControllerEvent event;
-  event.kind = ControllerEvent::Kind::kNodeOnline;
-  event.text = hostname;
-  event.value = online ? 1 : 0;
-  journal_router_event(std::move(event), time);
-  return Status::Ok();
+  auto status = run_on_domain<Status>(
+      domain, time, [&](Controller& c) { return apply(c, hostname); });
+  if (status.ok()) record();
+  return status;
 }
 
 Status DomainRouter::reevaluate() {

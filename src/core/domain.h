@@ -197,6 +197,13 @@ class DomainRouter {
   void refresh_info(const Domain& domain);
   void drop_info(uint32_t domain_id);
   void journal_router_event(ControllerEvent event, double time);
+  // The one path for an input about a node (an external-load report or
+  // an online flip, `value` = tasks or 1/0): validates it, applies it
+  // on the owning domain's worker (queued when `post`) or journals it
+  // at router level when no domain owns the node, and keeps the master
+  // node state in step.
+  Status node_event(ControllerEvent::Kind kind, const std::string& hostname,
+                    int value, bool post);
   double sample_now();
   // Runs `op` on the domain's worker with the sampled time installed
   // and the controller's owner-thread binding held; blocks for the

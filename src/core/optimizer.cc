@@ -218,9 +218,10 @@ Result<double> Optimizer::plan_objective(
       }
     }
     if (!any) continue;
-    // Frictional cost of switching away from the current option.
-    if (config_.respect_friction && previous != nullptr &&
-        other.id == instance.id && !(candidate == *previous)) {
+    // Frictional cost of switching away from the current option (paper
+    // §3, requirement five).
+    if (previous != nullptr && other.id == instance.id &&
+        !(candidate == *previous)) {
       const rsl::OptionSpec* opt = bundle.spec.find_option(candidate.option);
       if (opt != nullptr) total += opt->friction_s;
     }
@@ -256,10 +257,11 @@ Result<Decision> Optimizer::optimize_bundle(SystemState& state,
                                             InstanceState& instance,
                                             BundleState& bundle, double now,
                                             bool require_feasible) {
-  // Granularity gate: hold the current option until its window elapses.
-  // The gate leaves evaluated_version alone — a gated bundle stays
-  // dirty, so the pass after the window expires re-evaluates it.
-  if (bundle.configured && config_.respect_granularity) {
+  // Granularity gate (paper §3, requirement four): hold the current
+  // option until its window elapses. The gate leaves evaluated_version
+  // alone — a gated bundle stays dirty, so the pass after the window
+  // expires re-evaluates it.
+  if (bundle.configured) {
     const rsl::OptionSpec* current =
         bundle.spec.find_option(bundle.choice.option);
     if (current != nullptr && current->granularity_s > 0 &&

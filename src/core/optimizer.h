@@ -43,12 +43,6 @@ struct OptimizerConfig {
   // Off, adaptation happens only at explicit/periodic reevaluate()
   // calls, reproducing the delayed trigger visible in Figure 7.
   bool reevaluate_on_arrival = true;
-  // Charge the option's frictional cost when a reconfiguration would
-  // change the current choice (paper §3, requirement five).
-  bool respect_friction = true;
-  // Refuse to switch a bundle before its granularity window elapses
-  // (paper §3, requirement four).
-  bool respect_granularity = true;
   cluster::MatchPolicy match_policy = cluster::MatchPolicy::kFirstFit;
   // Joint-combination cap for exhaustive mode.
   size_t exhaustive_limit = 100000;

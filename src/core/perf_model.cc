@@ -203,7 +203,7 @@ Result<double> Predictor::predict_default(const PredictionInput& input) const {
                          "link endpoint not allocated: " + link.from + "-" +
                              link.to);
     }
-    double bw = a == b ? local_mbps_ : topo.path_bandwidth(a, b);
+    double bw = a == b ? kLocalMbps : topo.path_bandwidth(a, b);
     comm += transfer_seconds(megabytes.value(), bw);
     if (comm_occupancy_s_per_mb_ > 0) {
       occupancy[{link.from, 0}] += megabytes.value() * comm_occupancy_s_per_mb_;
@@ -217,7 +217,7 @@ Result<double> Predictor::predict_default(const PredictionInput& input) const {
                          "communication: " + megabytes.error().message);
     }
     // All-pairs traffic bound by the weakest pairwise path.
-    double min_bw = local_mbps_;
+    double min_bw = kLocalMbps;
     const auto& entries = input.allocation->entries;
     for (size_t i = 0; i < entries.size(); ++i) {
       for (size_t j = i + 1; j < entries.size(); ++j) {

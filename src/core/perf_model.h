@@ -74,11 +74,6 @@ struct PredictionInput {
 
 class Predictor {
  public:
-  // Local (same-node) transfer rate used when communicating roles share
-  // a host; matches NetworkModel's default.
-  explicit Predictor(double local_bandwidth_mbps = 8000.0)
-      : local_mbps_(local_bandwidth_mbps) {}
-
   // LogP-style send/receive occupancy (§3.4: "a better way of modeling
   // communication costs is by CPU occupancy on either end (for protocol
   // processing, copying), plus wire time"). When nonzero, the default
@@ -112,7 +107,10 @@ class Predictor {
   // (role.memory, role.count) + namespace fallback.
   rsl::ExprContext full_context(const PredictionInput& input) const;
 
-  double local_mbps_;
+  // Local (same-node) transfer rate used when communicating roles share
+  // a host; matches NetworkModel's default.
+  static constexpr double kLocalMbps = 8000.0;
+
   double comm_occupancy_s_per_mb_ = 0.0;
 };
 

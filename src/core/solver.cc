@@ -26,6 +26,17 @@ double accept_margin(double objective) {
   return std::max(1e-12, std::fabs(objective) * 1e-12);
 }
 
+// Vector bin-packing policies tried for each move, in order, after the
+// optimizer's own match policy.
+constexpr cluster::MatchPolicy kPlacementPolicies[] = {
+    cluster::MatchPolicy::kVectorBestFit,
+    cluster::MatchPolicy::kVectorWorstFit,
+};
+
+// Candidate (option, grant) choices considered per slot in a swap: the
+// current choice plus the first kSwapChoices - 1 others.
+constexpr size_t kSwapChoices = 3;
+
 }  // namespace
 
 // Working set for one improvement pass. Holds the candidate plan as a
@@ -159,7 +170,7 @@ class SolverPass {
 
 double SolverPass::friction_for(const Entry& entry,
                                 const OptionChoice& choice) const {
-  if (!opt_.config_.respect_friction || !entry.prev_configured) return 0.0;
+  if (!entry.prev_configured) return 0.0;
   if (choice == entry.prev_choice) return 0.0;
   const rsl::OptionSpec* option =
       entry.bundle->spec.find_option(choice.option);
@@ -198,17 +209,17 @@ Result<cluster::Allocation> SolverPass::match_entry(
   if (!bound.ok()) {
     return Err<cluster::Allocation>(bound.error().code, bound.error().message);
   }
-  cluster::Matcher matcher(policy, config_.norm);
+  cluster::Matcher matcher(policy);
   return matcher.match(bound.value().node_requirements,
                        bound.value().link_requirements, overlay_);
 }
 
 Status SolverPass::init(
     const std::vector<std::vector<Solver::Previous>>& previous) {
-  // Placement policies: the optimizer's own first, then the configured
-  // vector heuristics, deduplicated preserving order.
+  // Placement policies: the optimizer's own first, then the vector
+  // heuristics, deduplicated preserving order.
   policies_.push_back(opt_.config_.match_policy);
-  for (cluster::MatchPolicy policy : config_.placement_policies) {
+  for (cluster::MatchPolicy policy : kPlacementPolicies) {
     if (std::find(policies_.begin(), policies_.end(), policy) ==
         policies_.end()) {
       policies_.push_back(policy);
@@ -246,8 +257,7 @@ Status SolverPass::init(
       // the application only ever sees the epoch's final decision, so
       // refining it is not a second reconfiguration.
       entry.movable = true;
-      if (opt_.config_.respect_granularity && option->granularity_s > 0 &&
-          bundle.last_switch_time != now_ &&
+      if (option->granularity_s > 0 && bundle.last_switch_time != now_ &&
           now_ - bundle.last_switch_time < option->granularity_s) {
         entry.movable = false;
       }
@@ -521,13 +531,10 @@ bool SolverPass::try_swap(size_t slot_a, size_t slot_b) {
   const double threshold =
       current_objective_ - accept_margin(current_objective_);
 
-  // The current choice plus the first swap_choices - 1 alternatives.
   auto shortlist = [&](const Entry& entry) {
     std::vector<const OptionChoice*> list = {&entry.choice};
     for (const OptionChoice& candidate : entry.candidates) {
-      if (static_cast<int>(list.size()) >= std::max(config_.swap_choices, 1)) {
-        break;
-      }
+      if (list.size() >= kSwapChoices) break;
       if (candidate == entry.choice) continue;
       list.push_back(&candidate);
     }

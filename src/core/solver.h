@@ -43,19 +43,8 @@ struct SolverConfig {
   // Tests use a large budget plus max_rounds for wall-clock-free
   // determinism.
   int max_rounds = 0;
-  // Placement policies tried for each move, in order, after the
-  // optimizer's own match policy. Deduplicated at use.
-  std::vector<cluster::MatchPolicy> placement_policies = {
-      cluster::MatchPolicy::kVectorBestFit,
-      cluster::MatchPolicy::kVectorWorstFit,
-  };
-  // Dimension weights for the vector bin-packing policies.
-  cluster::DimensionNorm norm;
   // Pair-swap trials attempted per round.
   int swap_pairs_per_round = 64;
-  // Candidate (option, grant) choices considered per slot in a swap
-  // (the current choice plus the first swap_choices - 1 others).
-  int swap_choices = 3;
   // Seed for the deterministic move-ordering RNG.
   uint64_t seed = 0x5eed5eedULL;
 

@@ -15,6 +15,21 @@ namespace harmony::net {
 
 namespace {
 
+// Decoded messages waiting for the controller thread; shards block when
+// the mailbox fills, which backpressures their sockets.
+constexpr size_t kMailboxCapacity = 4096;
+// Longest a semi-sync OK waits for a standby ack (see
+// set_replication_feed).
+constexpr std::chrono::milliseconds kSyncReplyTimeout{1000};
+
+// The verbs whose effect is journaled: everything whose loss on
+// failover a client could observe. GET/METRICS/etc. read freely.
+bool is_mutating_verb(const std::string& verb) {
+  return verb == "REGISTER" || verb == "END" || verb == "LOAD" ||
+         verb == "SET" || verb == "RESIZE" || verb == "REEVALUATE" ||
+         verb == "RESUME";
+}
+
 // Resume tokens gate session hijacking, so they must be unguessable
 // and unique across server restarts (recovered sessions keep their
 // tokens). /dev/urandom or nothing: without a secure source the server
@@ -88,7 +103,7 @@ HarmonyTcpServer::HarmonyTcpServer(core::Controller* controller,
       router_(router),
       config_(config),
       port_(port),
-      mailbox_(config.mailbox_capacity),
+      mailbox_(kMailboxCapacity),
       frames_out_total_(&metric::telemetry_counter("net.frames_out_total")),
       session_parks_total_(
           &metric::telemetry_counter("net.session_parks_total")),
@@ -109,57 +124,6 @@ HarmonyTcpServer::~HarmonyTcpServer() {
   if (router_ != nullptr) core::publish_domain_router(nullptr);
 }
 
-// --- decision-core dispatch ------------------------------------------------
-
-Result<core::InstanceId> HarmonyTcpServer::ctl_register(
-    const std::string& script) {
-  return router_ != nullptr ? router_->register_script(script)
-                            : controller_->register_script(script);
-}
-
-Status HarmonyTcpServer::ctl_unregister(core::InstanceId id) {
-  return router_ != nullptr ? router_->unregister(id)
-                            : controller_->unregister(id);
-}
-
-Status HarmonyTcpServer::ctl_subscribe(core::InstanceId id,
-                                       core::Controller::UpdateHandler handler) {
-  return router_ != nullptr ? router_->subscribe(id, std::move(handler))
-                            : controller_->subscribe(id, std::move(handler));
-}
-
-Result<std::string> HarmonyTcpServer::ctl_get_variable(
-    core::InstanceId id, const std::string& name) {
-  return router_ != nullptr ? router_->get_variable(id, name)
-                            : controller_->get_variable(id, name);
-}
-
-Status HarmonyTcpServer::ctl_report_load(const std::string& hostname,
-                                         int tasks) {
-  return router_ != nullptr
-             ? router_->report_external_load(hostname, tasks)
-             : controller_->report_external_load(hostname, tasks);
-}
-
-Status HarmonyTcpServer::ctl_set_option(core::InstanceId id,
-                                        const std::string& bundle,
-                                        const core::OptionChoice& choice) {
-  return router_ != nullptr ? router_->set_option(id, bundle, choice)
-                            : controller_->set_option(id, bundle, choice);
-}
-
-Status HarmonyTcpServer::ctl_resize(core::InstanceId id,
-                                    const std::string& bundle,
-                                    double workers) {
-  return router_ != nullptr ? router_->resize(id, bundle, workers)
-                            : controller_->resize(id, bundle, workers);
-}
-
-Status HarmonyTcpServer::ctl_reevaluate() {
-  return router_ != nullptr ? router_->reevaluate()
-                            : controller_->reevaluate();
-}
-
 void HarmonyTcpServer::detach_connection(Connection& connection) {
   if (connection.is_replica) {
     if (feed_ != nullptr) feed_->detach(connection.id);
@@ -172,12 +136,14 @@ void HarmonyTcpServer::detach_connection(Connection& connection) {
   // server would otherwise flush pending variables into freed memory.
   if (!connection.session_token.empty()) {
     for (core::InstanceId id : connection.instances) {
-      (void)ctl_subscribe(id, core::Controller::UpdateHandler{});
+      (void)with_core([id](auto& engine) {
+        return engine.subscribe(id, core::Controller::UpdateHandler{});
+      });
     }
     return;
   }
   for (core::InstanceId id : connection.instances) {
-    (void)ctl_unregister(id);
+    (void)with_core([id](auto& engine) { return engine.unregister(id); });
   }
 }
 
@@ -408,16 +374,30 @@ void HarmonyTcpServer::ship_staged() {
 
 void HarmonyTcpServer::dispatch(Connection& connection,
                                 const Message& message) {
+  // Persistence stops writing at its first I/O error, so once the
+  // journal has failed a mutating verb can no longer be made durable:
+  // refuse it outright, and turn the OK of the verb whose own epoch hit
+  // the failure into the error.
+  const bool journaled = persistence_ != nullptr && !standby_ &&
+                         is_mutating_verb(message.verb);
+  Status journal = journaled ? persistence_->io_status() : Status::Ok();
   Message reply;
-  {
+  if (journal.ok()) {
     // One message = one optimization epoch: a REGISTER that also
     // subscribes (or an END that cascades re-evaluations) produces a
     // single coherent flush of variable updates and one set of
     // decision-path metrics. A standby opens no epoch — its controller
     // belongs to the replication applier, and the verbs that reach
     // handle_message there never touch it.
-    MaybeEpoch epoch(standby_ ? nullptr : controller_);
-    reply = handle_message(connection, message);
+    {
+      MaybeEpoch epoch(standby_ ? nullptr : controller_);
+      reply = handle_message(connection, message);
+    }
+    if (journaled && reply.verb == "OK") journal = persistence_->io_status();
+  }
+  if (!journal.ok()) {
+    reply = Message::err(journal.error().code,
+                         "journal failed: " + journal.error().message);
   }
   // The epoch close above flushed pending variable updates into the
   // queue (routed ops block until their domain epoch flushed), so
@@ -436,8 +416,7 @@ void HarmonyTcpServer::dispatch(Connection& connection,
         persistence_->replication_position();
     deferred_.push_back(DeferredReply{
         connection.id, reply, position.generation, position.offset,
-        std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.sync_reply_timeout_ms)});
+        std::chrono::steady_clock::now() + kSyncReplyTimeout});
   } else {
     send(connection, reply);
   }
@@ -447,13 +426,7 @@ bool HarmonyTcpServer::should_defer_reply(const std::string& verb,
                                           const Message& reply) const {
   if (feed_ == nullptr || persistence_ == nullptr || standby_) return false;
   if (reply.verb != "OK") return false;  // failures journaled nothing
-  // The mutating verbs: everything whose loss on failover a client
-  // could observe. GET/METRICS/etc. read freely.
-  const bool mutating = verb == "REGISTER" || verb == "END" ||
-                        verb == "LOAD" || verb == "SET" ||
-                        verb == "RESIZE" || verb == "REEVALUATE" ||
-                        verb == "RESUME";
-  return mutating && feed_->has_subscribers();
+  return is_mutating_verb(verb) && feed_->has_subscribers();
 }
 
 Status HarmonyTcpServer::attach_updates(Connection& connection,
@@ -464,11 +437,14 @@ Status HarmonyTcpServer::attach_updates(Connection& connection,
   // (the connection may die before the pump runs) and the controller
   // thread pumps the queue into the normal send path.
   const uint64_t conn_id = connection.id;
-  return ctl_subscribe(
-      id, [this, conn_id](const std::string& name, const std::string& value) {
+  core::Controller::UpdateHandler handler =
+      [this, conn_id](const std::string& name, const std::string& value) {
         std::lock_guard<std::mutex> lock(updates_mutex_);
         pending_updates_.push_back(PendingUpdate{conn_id, name, value});
-      });
+      };
+  return with_core([&](auto& engine) {
+    return engine.subscribe(id, std::move(handler));
+  });
 }
 
 HarmonyTcpServer::Connection* HarmonyTcpServer::find_connection(uint64_t id) {
@@ -537,7 +513,9 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
       return Message::err(ErrorCode::kProtocol,
                           "REGISTER expects a script and optional version");
     }
-    auto id = ctl_register(message.args[0]);
+    auto id = with_core([&](auto& engine) {
+      return engine.register_script(message.args[0]);
+    });
     if (!id.ok()) {
       return Message::err(id.error().code, id.error().message);
     }
@@ -583,7 +561,8 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
                           "instance not registered here");
     }
     if (message.verb == "END") {
-      auto status = ctl_unregister(id);
+      auto status =
+          with_core([id](auto& engine) { return engine.unregister(id); });
       connection.instances.erase(std::remove(connection.instances.begin(),
                                              connection.instances.end(), id),
                                  connection.instances.end());
@@ -597,7 +576,9 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
     if (message.args.size() != 2) {
       return Message::err(ErrorCode::kProtocol, "GET expects id and name");
     }
-    auto value = ctl_get_variable(id, message.args[1]);
+    auto value = with_core([&](auto& engine) {
+      return engine.get_variable(id, message.args[1]);
+    });
     return value.ok() ? Message::ok({value.value()})
                       : Message::err(value.error().code,
                                      value.error().message);
@@ -612,8 +593,10 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
       return Message::err(ErrorCode::kProtocol,
                           "LOAD expects a hostname and a task count");
     }
-    auto status =
-        ctl_report_load(message.args[0], static_cast<int>(tasks));
+    auto status = with_core([&](auto& engine) {
+      return engine.report_external_load(message.args[0],
+                                         static_cast<int>(tasks));
+    });
     return status.ok() ? Message::ok()
                        : Message::err(status.error().code,
                                       status.error().message);
@@ -643,7 +626,9 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
       }
       choice.variables[message.args[i]] = value;
     }
-    auto status = ctl_set_option(raw, message.args[1], choice);
+    auto status = with_core([&](auto& engine) {
+      return engine.set_option(raw, message.args[1], choice);
+    });
     return status.ok() ? Message::ok()
                        : Message::err(status.error().code,
                                       status.error().message);
@@ -666,13 +651,15 @@ Message HarmonyTcpServer::handle_message(Connection& connection,
       return Message::err(ErrorCode::kProtocol,
                           "bad worker count: " + message.args[2]);
     }
-    auto status = ctl_resize(raw, message.args[1], workers);
+    auto status = with_core([&](auto& engine) {
+      return engine.resize(raw, message.args[1], workers);
+    });
     return status.ok() ? Message::ok()
                        : Message::err(status.error().code,
                                       status.error().message);
   }
   if (message.verb == "REEVALUATE") {
-    auto status = ctl_reevaluate();
+    auto status = with_core([](auto& engine) { return engine.reevaluate(); });
     return status.ok() ? Message::ok()
                        : Message::err(status.error().code,
                                       status.error().message);
@@ -842,7 +829,9 @@ void HarmonyTcpServer::park_or_end(Connection& connection) {
                         << token_prefix(connection.session_token);
     session_parks_total_->increment();
     for (core::InstanceId id : connection.instances) {
-      (void)ctl_subscribe(id, core::Controller::UpdateHandler{});
+      (void)with_core([id](auto& engine) {
+        return engine.subscribe(id, core::Controller::UpdateHandler{});
+      });
     }
     parked_[connection.session_token] = ParkedSession{
         std::move(connection.instances),
@@ -857,7 +846,7 @@ void HarmonyTcpServer::park_or_end(Connection& connection) {
   // one).
   for (core::InstanceId id : connection.instances) {
     HLOG_INFO("server") << "connection dropped; ending instance " << id;
-    (void)ctl_unregister(id);
+    (void)with_core([id](auto& engine) { return engine.unregister(id); });
   }
   connection.instances.clear();
 }
@@ -888,7 +877,7 @@ void HarmonyTcpServer::reap_expired_sessions() {
     HLOG_INFO("server") << "session " << token_prefix(it->first)
                         << " expired; ending its instances";
     for (core::InstanceId id : it->second.instances) {
-      (void)ctl_unregister(id);
+      (void)with_core([id](auto& engine) { return engine.unregister(id); });
     }
     if (persistence_ != nullptr) persistence_->drop_session(it->first);
     it = parked_.erase(it);

@@ -50,19 +50,10 @@ struct ServerConfig {
   // this many bytes is disconnected instead of buffering unboundedly —
   // v2 sessions park (and can RESUME), v1 registrations depart.
   size_t outbound_high_water = 8u << 20;
-  // Decoded messages waiting for the controller thread; shards block
-  // when it fills, which backpressures their sockets.
-  size_t mailbox_capacity = 4096;
   int listen_backlog = 256;
   // SO_SNDBUF for accepted sockets; 0 keeps the kernel default. Tests
   // shrink it so the high-water mark is reachable deterministically.
   int sndbuf_bytes = 0;
-  // Semi-synchronous replication: with a replication feed attached and
-  // at least one standby subscribed, the OK for a mutating verb is
-  // withheld until a standby acks the journal position covering it — or
-  // this deadline passes (the primary never blocks on a dead standby;
-  // durability degrades to local-only, like a lone primary).
-  uint64_t sync_reply_timeout_ms = 1000;
 };
 
 // Server-side half of the replication wire protocol, implemented by
@@ -120,7 +111,11 @@ class HarmonyTcpServer {
 
   // Attaches the replication source: {REPL ...} messages are accepted,
   // journal batches are pushed to subscribed standbys each drain cycle,
-  // and mutating-verb replies turn semi-synchronous (see ServerConfig).
+  // and mutating-verb replies turn semi-synchronous: with at least one
+  // standby subscribed, the OK is withheld until a standby acks the
+  // journal position covering it, or for at most one second (the
+  // primary never blocks on a dead standby; durability degrades to
+  // local-only, like a lone primary).
   void set_replication_feed(ReplicationFeed* feed) { feed_ = feed; }
   // Standby mode: the serve loop never binds the controller (the
   // replication applier owns it) and decision verbs answer ERR
@@ -227,20 +222,13 @@ class HarmonyTcpServer {
   Status attach_updates(Connection& connection, core::InstanceId id);
 
   // Decision-core dispatch: exactly one of controller_ / router_ is
-  // set; these route each protocol operation to whichever backs the
-  // server.
-  Result<core::InstanceId> ctl_register(const std::string& script);
-  Status ctl_unregister(core::InstanceId id);
-  Status ctl_subscribe(core::InstanceId id,
-                       core::Controller::UpdateHandler handler);
-  Result<std::string> ctl_get_variable(core::InstanceId id,
-                                       const std::string& name);
-  Status ctl_report_load(const std::string& hostname, int tasks);
-  Status ctl_set_option(core::InstanceId id, const std::string& bundle,
-                        const core::OptionChoice& choice);
-  Status ctl_resize(core::InstanceId id, const std::string& bundle,
-                    double workers);
-  Status ctl_reevaluate();
+  // set, and both expose the protocol operations under the same names
+  // and signatures, so `op` is a generic lambda applied to whichever
+  // backs the server.
+  template <typename Op>
+  auto with_core(Op&& op) {
+    return router_ != nullptr ? op(*router_) : op(*controller_);
+  }
   // Drains the queued updates into the normal send path on the
   // controller thread. Returns true if anything shipped.
   bool pump_updates();

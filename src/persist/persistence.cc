@@ -23,6 +23,8 @@ constexpr char kSnapshotTmpFile[] = "snapshot.tmp";
 constexpr int kSnapshotVersion = 1;
 // Record framing header: [u32 length][u32 crc32c], matching journal.cc.
 constexpr size_t kRecordHeaderBytes = 8;
+// Minimum wall-clock spacing between group-commit fsyncs.
+constexpr std::chrono::milliseconds kFsyncMinInterval{20};
 
 uint32_t read_u32(const char* data) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(data);
@@ -256,6 +258,8 @@ void Persistence::append_journal(const std::string& payload) {
   // shard (or any other thread) would silently interleave records.
   HARMONY_ASSERT_MSG(controller_->on_owner_thread(),
                      "journal append off the controller thread");
+  // Wedged: nothing buffered from here on could ever be committed.
+  if (!last_error_.ok()) return;
   // Every journal opens with the generation of the snapshot it extends;
   // recovery uses it to discard a journal that predates the snapshot on
   // disk (a crash inside snapshot_now() between the rename and the
@@ -326,10 +330,9 @@ void Persistence::commit_epoch_locked() {
     return;
   }
   bool sync = epochs_since_sync_ >= config_.fsync_every_epochs;
-  if (sync && config_.fsync_min_interval_ms > 0) {
+  if (sync) {
     const auto now = std::chrono::steady_clock::now();
-    if (now - last_sync_time_ <
-        std::chrono::milliseconds(config_.fsync_min_interval_ms)) {
+    if (now - last_sync_time_ < kFsyncMinInterval) {
       sync = false;  // inside the rate-limit window; retry next epoch
     } else {
       last_sync_time_ = now;
@@ -955,6 +958,16 @@ Status Persistence::apply_snapshot_record(const std::string& payload) {
 void Persistence::set_replication_tap(ReplicationTap* tap) {
   std::lock_guard<std::mutex> lock(journal_mutex_);
   tap_ = tap;
+}
+
+Status Persistence::io_status() {
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  return last_error_;
+}
+
+uint64_t Persistence::generation() {
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  return generation_;
 }
 
 ReplicationPosition Persistence::replication_position() {

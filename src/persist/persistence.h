@@ -59,15 +59,12 @@ struct PersistConfig {
   // cost of a small journal. 0 compacts on the epoch count alone.
   uint64_t snapshot_min_journal_bytes = 64 * 1024;
   // Epochs between group-commit fsyncs, handed to the background sync
-  // thread so the decision path never blocks on them; 0 = synchronous
-  // fsync on every epoch commit (maximum durability, pays disk latency
-  // per decision, no background thread).
+  // thread so the decision path never blocks on them, and spaced at
+  // least 20 ms apart to bound the disk traffic of epoch bursts (a due
+  // sync inside that window is retried on the next commit); 0 =
+  // synchronous fsync on every epoch commit (maximum durability, pays
+  // disk latency per decision, no background thread, no spacing).
   uint64_t fsync_every_epochs = 32;
-  // Minimum wall-clock spacing between group-commit fsyncs, bounding
-  // the disk traffic of epoch bursts; a due sync inside the window is
-  // retried on the next commit. Ignored when fsync_every_epochs is 0
-  // (explicit maximum durability). 0 disables the rate limit.
-  uint64_t fsync_min_interval_ms = 20;
 };
 
 struct RecoveryReport {
@@ -170,9 +167,10 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   Status snapshot_now();
   // Commits and fsyncs any buffered journal records immediately.
   Status flush();
-  // First I/O error encountered on the commit path, sticky. The sink
-  // callbacks cannot report errors, so the server polls this.
-  Status io_status() const { return last_error_; }
+  // First I/O error encountered on the commit path, sticky: after it
+  // nothing more is appended or written. The sink callbacks cannot
+  // report errors, so the server polls this. Thread-safe.
+  Status io_status();
 
   const Journal& journal() const { return journal_; }
   std::string journal_path() const;
@@ -186,7 +184,9 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   // Current durable stream position: (generation, committed bytes of
   // that generation's journal). Thread-safe.
   ReplicationPosition replication_position();
-  uint64_t generation() const { return generation_; }
+  // Thread-safe: a standby's replicator thread installs snapshots while
+  // its node publishes status.
+  uint64_t generation();
 
   // --- replication (standby side) -----------------------------------------
   bool standby() const { return standby_; }

@@ -76,7 +76,6 @@ Status HaNode::start_primary(uint64_t lease_term) {
   server_ = std::make_unique<net::HarmonyTcpServer>(
       controller_.get(), config_.port != 0 ? config_.port : port_,
       config_.server);
-  server_->set_session_grace_ms(config_.session_grace_ms);
   server_->set_persistence(persistence_.get());
   source_ = std::make_unique<ReplicationSource>(persistence_.get());
   persistence_->set_replication_tap(source_.get());
@@ -145,7 +144,6 @@ Status HaNode::start_standby() {
   server_ = std::make_unique<net::HarmonyTcpServer>(
       controller_.get(), config_.port != 0 ? config_.port : port_,
       config_.server);
-  server_->set_session_grace_ms(config_.session_grace_ms);
   server_->set_standby(true);
   Result<uint16_t> port = server_->start();
   if (!port.ok()) return Status(port.error());

@@ -71,7 +71,6 @@ struct HaNodeConfig {
   // Optional controller time source, installed while (and only while)
   // this node is primary; standbys follow the replicated event times.
   std::function<double()> time_source;
-  int session_grace_ms = 30000;
   net::ServerConfig server;
   persist::PersistConfig persist;  // `dir` is overridden with data_dir
   StandbyConfig standby;           // `peers`/`node_id` overridden

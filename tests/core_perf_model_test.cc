@@ -100,7 +100,7 @@ TEST(DefaultModel, SameNodeLinkUsesLocalRate) {
   f.allocation.entries.push_back({{"a", 0, "*", "", 1}, 1});
   f.allocation.entries.push_back({{"b", 0, "*", "", 1}, 1});
   f.load[1] = 2;
-  Predictor predictor(8000.0);
+  Predictor predictor;
   // cpu = 1 * 2 (load 2) = 2; link local: 100 MB * 8 / 8000 = 0.1 s.
   EXPECT_DOUBLE_EQ(predictor.predict(f.input()).value(), 2.1);
 }

@@ -56,7 +56,7 @@ class ResumeTest : public ::testing::Test {
       ASSERT_TRUE(controller_->finalize_cluster().ok());
     }
     if (with_persistence) {
-      persist::PersistConfig config;
+      persist::PersistConfig config = persist_config_;
       config.dir = dir_;
       config.fsync_every_epochs = 1;
       auto persistence = persist::Persistence::open(config, *controller_);
@@ -121,6 +121,8 @@ class ResumeTest : public ::testing::Test {
   }
 
   std::string dir_;
+  // Compaction settings for start_server(true).
+  persist::PersistConfig persist_config_;
   std::unique_ptr<core::Controller> controller_;
   std::unique_ptr<persist::Persistence> persistence_;
   std::unique_ptr<HarmonyTcpServer> server_;
@@ -211,6 +213,39 @@ TEST_F(ResumeTest, ResumeAcrossServerRestartWithPersistence) {
   stop_server();
   EXPECT_EQ(controller_->live_instances(), 0u);
   EXPECT_EQ(server_->parked_session_count(), 0u);
+}
+
+TEST_F(ResumeTest, JournalIoErrorRefusesMutatingVerbs) {
+  // Every epoch compacts, so each commit opens a fresh snapshot file.
+  persist_config_.snapshot_every_epochs = 1;
+  persist_config_.snapshot_min_journal_bytes = 0;
+  start_server(/*with_persistence=*/true);
+  TcpTransport transport;
+  ASSERT_TRUE(transport.connect("localhost", port_).ok());
+  auto id = transport.register_app(client_bundle(1));
+  ASSERT_TRUE(id.ok()) << id.error().to_string();
+
+  // Without its directory the next snapshot open fails with ENOENT.
+  clean_dir();
+  ASSERT_NE(::access(dir_.c_str(), F_OK), 0);
+
+  // The SET whose epoch hit the failure is refused, and so is every
+  // mutating verb after it; reads still work.
+  Status set = transport.set_option(id.value(), "where", "DS");
+  ASSERT_FALSE(set.ok());
+  EXPECT_NE(set.error().message.find("journal failed"), std::string::npos)
+      << set.to_string();
+  EXPECT_FALSE(transport.set_option(id.value(), "where", "QS").ok());
+  EXPECT_FALSE(transport.request_reevaluation().ok());
+  auto option = transport.get_variable(id.value(), "where.option");
+  ASSERT_TRUE(option.ok()) << option.error().to_string();
+
+  // The wedged journal buffers nothing more.
+  stop_server();
+  ASSERT_FALSE(persistence_->io_status().ok());
+  const size_t pending = persistence_->journal().pending_bytes();
+  persistence_->record_session("token", {id.value()});
+  EXPECT_EQ(persistence_->journal().pending_bytes(), pending);
 }
 
 TEST_F(ResumeTest, ResumePrunesDepartedInstancesFromTheSession) {

@@ -33,20 +33,21 @@ run_config asan build-asan -DHARMONY_SANITIZE=ON
 # a third config would double the sweep for tests that never leave one
 # thread. The decision core's domain workers, the I/O shards and their
 # mailbox, the update queue, the journal's group-commit fsync thread,
-# the lease heartbeat and the replication tap all cross threads.
-# apps_malleable_test rides along: the mid-iteration resize storm
+# the lease heartbeat and the replication tap all cross threads, and
+# domain workers race to the shared topology's lazily built path index
+# (cluster_topology_test). apps_malleable_test rides along: the mid-iteration resize storm
 # exercises the join/retire protocol.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DHARMONY_TSAN=ON
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$jobs" \
-  --target core_domain_test core_storm_test core_solver_test \
-  core_scale_test apps_malleable_test net_server_test net_resume_test \
-  net_scale_test net_metrics_test persist_stream_test persist_crash_test \
-  replica_failover_test
+  --target cluster_topology_test core_domain_test core_storm_test \
+  core_solver_test core_scale_test apps_malleable_test net_server_test \
+  net_resume_test net_scale_test net_metrics_test persist_stream_test \
+  persist_crash_test replica_failover_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R '^(core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics)|persist_(stream|crash)|replica_failover)_test$'
+  -R '^(cluster_topology|core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics)|persist_(stream|crash)|replica_failover)_test$'
 
 # Anytime-allocator gates at smoke scale: budget_ms = 0 bit-identity,
 # solver <= greedy, strict improvement on packing-stress. Does not

@@ -72,10 +72,12 @@ class Search {
     if (policy_ == MatchPolicy::kVectorBestFit ||
         policy_ == MatchPolicy::kVectorWorstFit) {
       // Best-fit *decreasing*: place the largest demands first so small
-      // ones fill the remaining gaps. Stable on ties to stay
-      // deterministic.
-      std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
-        return requirements_[a].memory_mb > requirements_[b].memory_mb;
+      // ones fill the remaining gaps. Ties keep requirement order.
+      std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+        if (requirements_[a].memory_mb != requirements_[b].memory_mb) {
+          return requirements_[a].memory_mb > requirements_[b].memory_mb;
+        }
+        return a < b;
       });
     }
   }
@@ -106,9 +108,9 @@ class Search {
       if (a == kInvalidNode || b == kInvalidNode) continue;
       // Only re-check constraints involving the node just placed.
       if (link.from != placed_index && link.to != placed_index) continue;
-      if (!topo.connected(a, b)) return false;
-      if (link.min_bandwidth_mbps > 0 &&
-          topo.path_bandwidth(a, b) < link.min_bandwidth_mbps) {
+      // 0 when disconnected, +infinity on a shared node.
+      double bandwidth = topo.path_bandwidth(a, b);
+      if (bandwidth <= 0.0 || bandwidth < link.min_bandwidth_mbps) {
         return false;
       }
     }
@@ -144,9 +146,39 @@ class Search {
     return memory_term + load_term;
   }
 
-  std::vector<NodeId> candidates(const NodeRequirement& req) const {
-    std::vector<NodeId> out;
-    std::vector<std::pair<double, NodeId>> scored;
+  // An admissible node with its ordering key, read from the pool once.
+  struct Candidate {
+    double primary = 0.0;
+    double secondary = 0.0;
+    NodeId id = kInvalidNode;
+  };
+
+  // Vector policies order by post-placement utilization norm; classic
+  // policies go least-loaded first with the policy breaking ties. Any
+  // remaining tie goes to the lower NodeId, which is the scan order
+  // (scope order is topology order), so the result is what a stable
+  // sort by the policy's key alone would give, without its buffer.
+  Candidate rank(const NodeRequirement& req, const NodeInfo& node) const {
+    switch (policy_) {
+      case MatchPolicy::kVectorBestFit:  // tightest pack first
+        return {-vector_score(req, node), 0.0, node.id};
+      case MatchPolicy::kVectorWorstFit:
+        return {vector_score(req, node), 0.0, node.id};
+      case MatchPolicy::kFirstFit:
+        return {static_cast<double>(pool_.effective_load(node.id)), 0.0,
+                node.id};
+      case MatchPolicy::kBestFit:
+        return {static_cast<double>(pool_.effective_load(node.id)),
+                pool_.available_memory(node.id), node.id};
+      case MatchPolicy::kWorstFit:
+        return {static_cast<double>(pool_.effective_load(node.id)),
+                -pool_.available_memory(node.id), node.id};
+    }
+    return {0.0, 0.0, node.id};
+  }
+
+  std::vector<Candidate> candidates(const NodeRequirement& req) const {
+    std::vector<Candidate> out;
     // A scoped pool (domain controller) covers a superset of every
     // member bundle's admissible nodes, and scope order is topology
     // order — so iterating the scope filters to the same candidate
@@ -157,64 +189,19 @@ class Search {
     for (size_t i = 0; i < limit; ++i) {
       const NodeInfo& node =
           topo.node(scope ? scope->node_at(i) : static_cast<NodeId>(i));
-      if (!pool_.is_online(node.id)) continue;
       if (!node_admissible(req, node)) continue;
+      if (!pool_.is_online(node.id)) continue;
       if (pool_.available_memory(node.id) + 1e-9 < req.memory_mb) continue;
-      out.push_back(node.id);
-      if (policy_ == MatchPolicy::kVectorBestFit ||
-          policy_ == MatchPolicy::kVectorWorstFit) {
-        scored.emplace_back(vector_score(req, node), node.id);
-      }
+      out.push_back(rank(req, node));
     }
-    // Vector policies order by post-placement utilization norm; classic
-    // policies go least-loaded first with the policy breaking ties.
-    switch (policy_) {
-      case MatchPolicy::kVectorBestFit:
-        // Tightest pack first; ties stay in topology order.
-        std::stable_sort(scored.begin(), scored.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first > b.first;
-                         });
-        break;
-      case MatchPolicy::kVectorWorstFit:
-        std::stable_sort(scored.begin(), scored.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first < b.first;
-                         });
-        break;
-      default:
-        break;
-    }
-    if (!scored.empty()) {
-      out.clear();
-      for (const auto& [score, id] : scored) out.push_back(id);
-      return out;
-    }
-    switch (policy_) {
-      case MatchPolicy::kFirstFit:
-        std::stable_sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-          return pool_.effective_load(a) < pool_.effective_load(b);
-        });
-        break;  // ties stay in topology order
-      case MatchPolicy::kBestFit:
-        std::stable_sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-          if (pool_.effective_load(a) != pool_.effective_load(b)) {
-            return pool_.effective_load(a) < pool_.effective_load(b);
-          }
-          return pool_.available_memory(a) < pool_.available_memory(b);
-        });
-        break;
-      case MatchPolicy::kWorstFit:
-        std::stable_sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-          if (pool_.effective_load(a) != pool_.effective_load(b)) {
-            return pool_.effective_load(a) < pool_.effective_load(b);
-          }
-          return pool_.available_memory(a) > pool_.available_memory(b);
-        });
-        break;
-      default:
-        break;  // vector policies handled above
-    }
+    std::sort(out.begin(), out.end(),
+              [](const Candidate& a, const Candidate& b) {
+                if (a.primary != b.primary) return a.primary < b.primary;
+                if (a.secondary != b.secondary) {
+                  return a.secondary < b.secondary;
+                }
+                return a.id < b.id;
+              });
     return out;
   }
 
@@ -222,7 +209,8 @@ class Search {
     if (pos == requirements_.size()) return true;
     size_t index = order_[pos];
     const auto& req = requirements_[index];
-    for (NodeId candidate : candidates(req)) {
+    for (const Candidate& ranked : candidates(req)) {
+      const NodeId candidate = ranked.id;
       if (role_conflict(index, candidate)) continue;
       if (!pool_.reserve_memory(candidate, req.memory_mb).ok()) continue;
       pool_.add_process(candidate);

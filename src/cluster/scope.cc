@@ -9,12 +9,6 @@ NodeScope::NodeScope(std::vector<NodeId> nodes) : nodes_(std::move(nodes)) {
   nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
 }
 
-size_t NodeScope::slot(NodeId node) const {
-  auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-  if (it == nodes_.end() || *it != node) return kNoSlot;
-  return static_cast<size_t>(it - nodes_.begin());
-}
-
 bool NodeScope::extend(const std::vector<NodeId>& nodes) {
   bool grew = false;
   for (NodeId node : nodes) {

@@ -10,6 +10,7 @@
 // keeps scoped and full-cluster decision sequences bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -30,8 +31,13 @@ class NodeScope {
   const std::vector<NodeId>& nodes() const { return nodes_; }
   NodeId node_at(size_t slot) const { return nodes_[slot]; }
 
-  // Dense index of `node`, or kNoSlot when outside the scope.
-  size_t slot(NodeId node) const;
+  // Dense index of `node`, or kNoSlot when outside the scope. Inline:
+  // every scoped pool accessor on the decision path goes through it.
+  size_t slot(NodeId node) const {
+    auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+    if (it == nodes_.end() || *it != node) return kNoSlot;
+    return static_cast<size_t>(it - nodes_.begin());
+  }
   bool contains(NodeId node) const { return slot(node) != kNoSlot; }
 
   // Union with `nodes`. Returns true when anything was added; slots of

@@ -1,6 +1,8 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <queue>
 
 #include "common/assert.h"
@@ -13,13 +15,14 @@ Result<NodeId> Topology::add_node(std::string hostname, double speed,
   if (hostname.empty()) {
     return Err<NodeId>(ErrorCode::kInvalidArgument, "hostname must not be empty");
   }
-  if (speed <= 0) {
+  if (!std::isfinite(speed) || speed <= 0) {
     return Err<NodeId>(ErrorCode::kInvalidArgument,
-                       "node speed must be positive: " + hostname);
+                       "node speed must be positive and finite: " + hostname);
   }
-  if (memory_mb < 0) {
+  if (!std::isfinite(memory_mb) || memory_mb < 0) {
     return Err<NodeId>(ErrorCode::kInvalidArgument,
-                       "node memory must be non-negative: " + hostname);
+                       "node memory must be non-negative and finite: " +
+                           hostname);
   }
   if (by_hostname_.count(hostname)) {
     return Err<NodeId>(ErrorCode::kAlreadyExists,
@@ -30,6 +33,7 @@ Result<NodeId> Topology::add_node(std::string hostname, double speed,
   nodes_.push_back(NodeInfo{id, std::move(hostname), std::move(os), speed,
                             memory_mb});
   adjacency_.emplace_back();
+  invalidate_path_index();
   return id;
 }
 
@@ -41,12 +45,15 @@ Status Topology::add_link(NodeId a, NodeId b, double bandwidth_mbps,
   if (a == b) {
     return Status(ErrorCode::kInvalidArgument, "self-links are implicit");
   }
-  if (bandwidth_mbps <= 0) {
-    return Status(ErrorCode::kInvalidArgument, "bandwidth must be positive");
+  if (!std::isfinite(bandwidth_mbps) || bandwidth_mbps <= 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "bandwidth must be positive and finite");
   }
-  if (latency_ms < 0) {
-    return Status(ErrorCode::kInvalidArgument, "latency must be non-negative");
+  if (!std::isfinite(latency_ms) || latency_ms < 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "latency must be non-negative and finite");
   }
+  invalidate_path_index();
   // Replace an existing link in place.
   for (size_t idx : adjacency_[a]) {
     LinkInfo& l = links_[idx];
@@ -117,23 +124,83 @@ const LinkInfo* Topology::link(NodeId a, NodeId b) const {
 
 double Topology::path_bandwidth(NodeId a, NodeId b) const {
   if (a == b) return std::numeric_limits<double>::infinity();
-  return widest_path(a, b).bandwidth;
+  if (a >= nodes_.size() || b >= nodes_.size()) return 0.0;
+  const std::vector<ForestNode>& forest = this->forest();
+  if (forest[a].root != forest[b].root) return 0.0;
+  // Climb to the lowest common ancestor, keeping the narrowest link.
+  double bandwidth = std::numeric_limits<double>::infinity();
+  auto climb = [&](NodeId& node) {
+    bandwidth = std::min(bandwidth, forest[node].up_bandwidth);
+    node = forest[node].parent;
+  };
+  while (forest[a].depth > forest[b].depth) climb(a);
+  while (forest[b].depth > forest[a].depth) climb(b);
+  while (a != b) {
+    climb(a);
+    climb(b);
+  }
+  return bandwidth;
 }
 
-double Topology::path_latency(NodeId a, NodeId b) const {
-  if (a == b) return 0.0;
-  return widest_path(a, b).latency;
-}
+void Topology::build_path_index() const { (void)forest(); }
 
-std::vector<size_t> Topology::path_links(NodeId a, NodeId b) const {
-  if (a == b) return {};
-  return widest_path(a, b).links;
+const std::vector<Topology::ForestNode>& Topology::forest() const {
+  if (index_.ready.load(std::memory_order_acquire)) return index_.nodes;
+  std::lock_guard<std::mutex> lock(index_.mu);
+  if (index_.ready.load(std::memory_order_relaxed)) return index_.nodes;
+  // Kruskal: widest links first, each kept when it joins two trees.
+  const size_t n = nodes_.size();
+  std::vector<size_t> order(links_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    if (links_[x].bandwidth_mbps != links_[y].bandwidth_mbps) {
+      return links_[x].bandwidth_mbps > links_[y].bandwidth_mbps;
+    }
+    return x < y;
+  });
+  std::vector<NodeId> set(n);
+  std::iota(set.begin(), set.end(), NodeId{0});
+  auto find = [&](NodeId v) {
+    while (set[v] != v) v = set[v] = set[set[v]];
+    return v;
+  };
+  std::vector<std::vector<size_t>> tree(n);  // node -> kept link indices
+  for (size_t idx : order) {
+    NodeId ra = find(links_[idx].a);
+    NodeId rb = find(links_[idx].b);
+    if (ra == rb) continue;
+    set[ra] = rb;
+    tree[links_[idx].a].push_back(idx);
+    tree[links_[idx].b].push_back(idx);
+  }
+  // Root every tree at its lowest id and record parents breadth-first.
+  std::vector<ForestNode>& out = index_.nodes;
+  out.assign(n, ForestNode{});
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  for (NodeId root = 0; root < n; ++root) {
+    if (out[root].root != kInvalidNode) continue;
+    out[root].root = root;
+    queue.assign(1, root);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      NodeId u = queue[head];
+      for (size_t idx : tree[u]) {
+        const LinkInfo& l = links_[idx];
+        NodeId v = l.a == u ? l.b : l.a;
+        if (out[v].root != kInvalidNode) continue;
+        out[v] = ForestNode{u, root, out[u].depth + 1, l.bandwidth_mbps};
+        queue.push_back(v);
+      }
+    }
+  }
+  index_.ready.store(true, std::memory_order_release);
+  return index_.nodes;
 }
 
 // Dijkstra variant maximizing the bottleneck bandwidth; ties broken by
 // lower total latency.
-Topology::PathResult Topology::widest_path(NodeId a, NodeId b) const {
-  if (a >= nodes_.size() || b >= nodes_.size()) return {};
+Topology::Route Topology::route(NodeId a, NodeId b) const {
+  if (a == b || a >= nodes_.size() || b >= nodes_.size()) return {};
   std::vector<double> best_bw(nodes_.size(), 0.0);
   std::vector<double> best_lat(nodes_.size(),
                                std::numeric_limits<double>::infinity());
@@ -165,9 +232,8 @@ Topology::PathResult Topology::widest_path(NodeId a, NodeId b) const {
     }
   }
   if (best_bw[b] == 0.0) return {};
-  PathResult result;
-  result.bandwidth = best_bw[b];
-  result.latency = best_lat[b];
+  Route result;
+  result.latency_ms = best_lat[b];
   for (NodeId cur = b; cur != a; cur = via_node[cur]) {
     HARMONY_ASSERT(via_link[cur] != SIZE_MAX);
     result.links.push_back(via_link[cur]);

@@ -153,6 +153,9 @@ Status Controller::finalize_cluster() {
   if (state_.topology().node_count() == 0) {
     return Status(ErrorCode::kInvalidArgument, "cluster has no nodes");
   }
+  // Nodes and links are frozen from here on (domains share this
+  // topology read-only), so no decision pays for the index.
+  state_.topology().build_path_index();
   state_.init_pool();
   optimizer_->set_names(names_context());
   return Status::Ok();

@@ -288,25 +288,80 @@ Result<double> Predictor::predict_points(const PredictionInput& input) const {
   return piecewise_linear(points, x);
 }
 
-std::optional<double> PredictionCache::lookup(const Key& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+PredictionCache::Slot* PredictionCache::Generation::find(const Key& key) {
+  if (slots.empty()) return nullptr;
+  const size_t mask = slots.size() - 1;
+  for (size_t i = key.hash & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots[i];
+    if (slot.offset == kEmpty) return nullptr;
+    if (slot.hash == key.hash && slot.length == key.bytes.size() &&
+        std::string_view(arena).substr(slot.offset, slot.length) ==
+            key.bytes) {
+      return &slot;
+    }
   }
-  ++stats_.hits;
-  return it->second;
+}
+
+PredictionCache::Slot& PredictionCache::Generation::free_slot(size_t hash) {
+  const size_t mask = slots.size() - 1;
+  size_t i = hash & mask;
+  while (slots[i].offset != kEmpty) i = (i + 1) & mask;
+  return slots[i];
+}
+
+void PredictionCache::Generation::put(const Key& key, double value) {
+  if (Slot* slot = find(key)) {
+    slot->value = value;
+    return;
+  }
+  if (2 * (count + 1) > slots.size()) {
+    std::vector<Slot> old(std::max<size_t>(16, 2 * slots.size()));
+    old.swap(slots);
+    for (const Slot& slot : old) {
+      if (slot.offset != kEmpty) free_slot(slot.hash) = slot;
+    }
+  }
+  free_slot(key.hash) = Slot{key.hash, static_cast<uint32_t>(arena.size()),
+                             static_cast<uint32_t>(key.bytes.size()), value};
+  arena.append(key.bytes);
+  ++count;
+}
+
+void PredictionCache::Generation::clear() {
+  std::fill(slots.begin(), slots.end(), Slot{});
+  arena.clear();
+  count = 0;
+}
+
+std::optional<double> PredictionCache::lookup(const Key& key) {
+  if (const Slot* slot = young_.find(key)) {
+    ++stats_.hits;
+    return slot->value;
+  }
+  if (const Slot* slot = old_.find(key)) {
+    ++stats_.hits;
+    const double value = slot->value;
+    insert(key, value);  // promote; may drop old_, so read the value first
+    return value;
+  }
+  ++stats_.misses;
+  return std::nullopt;
 }
 
 void PredictionCache::insert(const Key& key, double value) {
-  if (entries_.size() >= max_entries_) entries_.clear();  // crude bound
-  entries_.insert_or_assign(StoredKey{std::string(key.bytes), key.hash},
-                            value);
+  // A key too large for any generation is simply not kept.
+  if (key.bytes.size() > kGenerationBytes) return;
+  if (young_.full(key)) {
+    std::swap(young_, old_);
+    young_.clear();
+  }
+  young_.put(key, value);
 }
 
 void PredictionCache::invalidate() {
-  if (entries_.empty()) return;
-  entries_.clear();
+  if (young_.count == 0 && old_.count == 0) return;
+  young_.clear();
+  old_.clear();
   ++stats_.invalidations;
 }
 

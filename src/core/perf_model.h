@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/matcher.h"
@@ -166,7 +165,14 @@ ModelReads model_reads(const rsl::OptionSpec& option);
 // misses stale entries instead of requiring wholesale invalidation.
 // Models with unknown read sets (scripts, uncompilable expressions)
 // bypass the cache. Entries are identified by their full key bytes;
-// the hash only picks a bucket.
+// the hash only picks a slot.
+//
+// Storage is two generations, each a flat open-addressing table whose
+// slots point into one byte arena holding the keys. Inserts go to the
+// young generation; once it holds kGenerationEntries entries (or
+// kGenerationBytes key bytes) it becomes the old one and the previous
+// old generation is dropped. A hit in the old generation is copied
+// into the young one, so an entry stays as long as it keeps being hit.
 class PredictionCache {
  public:
   struct Stats {
@@ -191,38 +197,46 @@ class PredictionCache {
     return Key{bytes, std::hash<std::string_view>{}(bytes)};
   }
 
-  explicit PredictionCache(size_t max_entries = 1 << 20)
-      : max_entries_(max_entries) {}
+  static constexpr size_t kGenerationEntries = size_t{1} << 16;
+  static constexpr size_t kGenerationBytes = size_t{1} << 26;
 
   std::optional<double> lookup(const Key& key);
+  // Stores into the young generation, rotating it out first when full.
   void insert(const Key& key, double value);
   // Drops every entry (predictor or optimizer reconfigured).
   void invalidate();
 
   const Stats& stats() const { return stats_; }
-  size_t size() const { return entries_.size(); }
+  // Entries held across both generations (a promoted key counts twice).
+  size_t size() const { return young_.count + old_.count; }
 
  private:
-  struct StoredKey {
-    std::string bytes;
-    size_t hash;
+  struct Slot {
+    size_t hash = 0;
+    uint32_t offset = kEmpty;  // into the arena; kEmpty marks a free slot
+    uint32_t length = 0;
+    double value = 0.0;
   };
-  // Transparent over Key so lookups probe with the borrowed bytes.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const StoredKey& k) const noexcept { return k.hash; }
-    size_t operator()(const Key& k) const noexcept { return k.hash; }
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const noexcept {
-      return std::string_view(a.bytes) == std::string_view(b.bytes);
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  // Linear probing over a power-of-two table kept at most half full.
+  struct Generation {
+    std::vector<Slot> slots;
+    std::string arena;
+    size_t count = 0;
+
+    Slot* find(const Key& key);
+    Slot& free_slot(size_t hash);  // requires a free slot to exist
+    bool full(const Key& key) const {
+      return count >= kGenerationEntries ||
+             arena.size() + key.bytes.size() > kGenerationBytes;
     }
+    void put(const Key& key, double value);
+    void clear();
   };
 
-  size_t max_entries_;
-  std::unordered_map<StoredKey, double, KeyHash, KeyEq> entries_;
+  Generation young_;
+  Generation old_;
   Stats stats_;
 };
 

@@ -431,13 +431,14 @@ Result<NodeAd> parse_node_ad(const std::vector<std::string>& argv) {
     const std::string& key = fields[0];
     if (key == "speed") {
       if (fields.size() != 2 || !parse_double(fields[1], &ad.speed) ||
-          ad.speed <= 0) {
-        return parse_error<NodeAd>("speed requires a positive number");
+          !std::isfinite(ad.speed) || ad.speed <= 0) {
+        return parse_error<NodeAd>("speed requires a positive finite number");
       }
     } else if (key == "memory") {
       if (fields.size() != 2 || !parse_double(fields[1], &ad.memory_mb) ||
-          ad.memory_mb < 0) {
-        return parse_error<NodeAd>("memory requires a non-negative number");
+          !std::isfinite(ad.memory_mb) || ad.memory_mb < 0) {
+        return parse_error<NodeAd>(
+            "memory requires a non-negative finite number");
       }
     } else if (key == "os") {
       if (fields.size() != 2) return parse_error<NodeAd>("os requires a value");
@@ -449,12 +450,13 @@ Result<NodeAd> parse_node_ad(const std::vector<std::string>& argv) {
       LinkAd link;
       link.peer = fields[1];
       if (!parse_double(fields[2], &link.bandwidth_mbps) ||
-          link.bandwidth_mbps <= 0) {
-        return parse_error<NodeAd>("link bandwidth must be positive");
+          !std::isfinite(link.bandwidth_mbps) || link.bandwidth_mbps <= 0) {
+        return parse_error<NodeAd>("link bandwidth must be positive and finite");
       }
       if (fields.size() == 4 &&
-          !parse_double(fields[3], &link.latency_ms)) {
-        return parse_error<NodeAd>("link latency must be numeric");
+          (!parse_double(fields[3], &link.latency_ms) ||
+           !std::isfinite(link.latency_ms))) {
+        return parse_error<NodeAd>("link latency must be a finite number");
       }
       ad.links.push_back(std::move(link));
     } else {

@@ -33,11 +33,12 @@ Result<FlowId> NetworkModel::transfer(cluster::NodeId from,
   std::vector<size_t> path;
   double latency_s = 0.0;
   if (from != to) {
-    if (!topology_->connected(from, to)) {
+    cluster::Topology::Route route = topology_->route(from, to);
+    if (route.links.empty()) {
       return Err<FlowId>(ErrorCode::kNoMatch, "nodes are disconnected");
     }
-    path = topology_->path_links(from, to);
-    latency_s = topology_->path_latency(from, to) / 1000.0;
+    path = std::move(route.links);
+    latency_s = route.latency_ms / 1000.0;
   }
   update(engine_->now());
   FlowId id = next_id_++;

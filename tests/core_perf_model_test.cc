@@ -631,5 +631,88 @@ TEST(PredictionKey, ModelReadsAcrossModels) {
   EXPECT_EQ(texts, (std::vector<std::string>{"x.y", "z.w"}));
 }
 
+// --- PredictionCache storage --------------------------------------------------
+
+std::string cache_key_text(size_t i) { return "key-" + std::to_string(i); }
+
+void put(PredictionCache& cache, const std::string& text, double value) {
+  cache.insert(PredictionCache::key(text), value);
+}
+
+std::optional<double> get(PredictionCache& cache, const std::string& text) {
+  return cache.lookup(PredictionCache::key(text));
+}
+
+TEST(PredictionCache, GenerationBoundHolds) {
+  constexpr size_t kGen = PredictionCache::kGenerationEntries;
+  PredictionCache cache;
+  for (size_t i = 0; i < 3 * kGen; ++i) {
+    put(cache, cache_key_text(i), static_cast<double>(i));
+    ASSERT_LE(cache.size(), 2 * kGen) << "after " << i + 1 << " inserts";
+  }
+  EXPECT_FALSE(get(cache, cache_key_text(0)).has_value())
+      << "the oldest generation was dropped";
+  EXPECT_EQ(get(cache, cache_key_text(3 * kGen - 1)), 3.0 * kGen - 1);
+  EXPECT_EQ(get(cache, cache_key_text(2 * kGen)), 2.0 * kGen)
+      << "the previous generation is still served";
+}
+
+TEST(PredictionCache, OldGenerationHitIsPromoted) {
+  constexpr size_t kGen = PredictionCache::kGenerationEntries;
+  PredictionCache cache;
+  put(cache, "kept", 1.5);
+  put(cache, "idle", 2.5);
+  size_t next = 0;
+  auto fill = [&](size_t count) {
+    for (size_t i = 0; i < count; ++i, ++next) {
+      put(cache, cache_key_text(next), 0.0);
+    }
+  };
+  fill(kGen);  // one rotation: both keys are now in the old generation
+  EXPECT_EQ(get(cache, "kept"), 1.5);  // promoted into the young one
+  fill(kGen);  // second rotation drops the old generation
+  EXPECT_EQ(get(cache, "kept"), 1.5);
+  EXPECT_FALSE(get(cache, "idle").has_value());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(PredictionCache, InvalidateDropsBothGenerations) {
+  constexpr size_t kGen = PredictionCache::kGenerationEntries;
+  PredictionCache cache;
+  put(cache, "old", 1.0);
+  for (size_t i = 0; i < kGen; ++i) put(cache, cache_key_text(i), 0.0);
+  put(cache, "young", 2.0);
+  ASSERT_EQ(get(cache, "old"), 1.0);
+  ASSERT_EQ(get(cache, "young"), 2.0);
+  cache.invalidate();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(get(cache, "old").has_value());
+  EXPECT_FALSE(get(cache, "young").has_value());
+  EXPECT_FALSE(get(cache, cache_key_text(kGen - 1)).has_value());
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  cache.invalidate();
+  EXPECT_EQ(cache.stats().invalidations, 1u) << "an empty cache is untouched";
+}
+
+TEST(PredictionCache, EqualHashesStayDistinct) {
+  PredictionCache cache;
+  // Forced collisions: equal hash, equal and unequal lengths.
+  const PredictionCache::Key ab{"ab", 42};
+  const PredictionCache::Key ba{"ba", 42};
+  const PredictionCache::Key abc{"abc", 42};
+  cache.insert(ab, 1.0);
+  cache.insert(ba, 2.0);
+  EXPECT_EQ(cache.lookup(ab), 1.0);
+  EXPECT_EQ(cache.lookup(ba), 2.0);
+  EXPECT_FALSE(cache.lookup(abc).has_value());
+  cache.insert(abc, 3.0);
+  cache.insert(ab, 4.0);  // overwrites in place
+  EXPECT_EQ(cache.lookup(ab), 4.0);
+  EXPECT_EQ(cache.lookup(ba), 2.0);
+  EXPECT_EQ(cache.lookup(abc), 3.0);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
 }  // namespace
 }  // namespace harmony::core

@@ -306,5 +306,15 @@ TEST(ParseNodeAd, DefaultsAndRejections) {
   EXPECT_FALSE(parse_node_ad({"harmonyNode", "x", "unknown 1"}).ok());
 }
 
+TEST(ParseNodeAd, RejectsNonFiniteNumbers) {
+  for (const char* field :
+       {"speed nan", "speed inf", "speed -inf", "memory nan", "memory inf",
+        "link peer nan", "link peer inf", "link peer 10 nan",
+        "link peer 10 inf"}) {
+    EXPECT_FALSE(parse_node_ad({"harmonyNode", "x", field}).ok()) << field;
+  }
+  EXPECT_TRUE(parse_node_ad({"harmonyNode", "x", "link peer 10 0.5"}).ok());
+}
+
 }  // namespace
 }  // namespace harmony::rsl

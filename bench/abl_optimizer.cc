@@ -268,8 +268,9 @@ PartitionRun run_partition_mode(bool single_domain) {
   core::DomainRouterConfig config;
   config.single_domain = single_domain;
   // One worker for both modes: the quantity measured here is the
-  // algorithmic per-event cost, not thread parallelism (on multi-core
-  // hosts more workers stack a parallel speedup on top).
+  // algorithmic per-event cost. Blocking ops run on the router's
+  // caller thread either way, so more workers would not add
+  // parallelism here.
   config.workers = 1;
   // Full decision pass per event on BOTH sides. The dirty-set engine is
   // ablated separately (A1b above) and composes multiplicatively; this

@@ -19,10 +19,17 @@
 // fingerprint to match bit-for-bit: the speed must come from scoping,
 // never from deciding differently.
 //
-// Gate (full mode): decision_ms at the largest size <= 1.3x the
-// smallest size — flat, not O(cluster). Smoke mode (CI) runs the two
-// small sizes and gates only the fingerprints. Results go to
-// BENCH_scale.json; exits nonzero when a gate fails.
+// The sizes run round-robin over several rounds, so every round
+// measures the smallest and the largest cluster a few seconds apart,
+// under the same host conditions. Gate (full mode): the median over
+// rounds of the per-round decision_ms ratio, largest size over
+// smallest, <= 1.3x — flat, not O(cluster). The ratios' interquartile
+// range is printed beside it, and so is the first round's ratio alone
+// (one pass per size, the estimator this bench used to gate on), which
+// a single noisy window can push to either side of the threshold.
+// Smoke mode (CI) runs the two small sizes and gates only the
+// fingerprints. Results go to BENCH_scale.json; exits nonzero when a
+// gate fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -41,6 +48,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   bool smoke = false;
+  int rounds = 5;
   int decision_reps = 240;
   int merge_cycles = 6;
 };
@@ -67,6 +75,25 @@ double median(std::vector<double> samples) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+// Linearly interpolated quantile, q in [0, 1].
+double quantile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const size_t below = static_cast<size_t>(pos);
+  const size_t above = std::min(below + 1, samples.size() - 1);
+  return samples[below] +
+         (samples[above] - samples[below]) * (pos - static_cast<double>(below));
+}
+
+// The per-size medians over rounds of one metric.
+double median_over(const std::vector<SizeResult>& runs,
+                   double SizeResult::*metric) {
+  std::vector<double> values;
+  for (const SizeResult& run : runs) values.push_back(run.*metric);
+  return median(values);
 }
 
 // Spans two groups with no link requirement (swarm groups share no
@@ -230,46 +257,70 @@ int run(const Options& options) {
 
   std::printf(
       "=== Scoped domains: fixed 16x9-node workload, growing cluster ===\n");
-  std::printf("%8s %8s %8s %11s %13s %10s %10s %6s\n", "groups", "nodes",
-              "domains", "create_ms", "decision_ms", "merge_ms", "split_ms",
-              "ident");
+  std::printf("%6s %8s %8s %8s %11s %13s %10s %10s %6s\n", "round", "groups",
+              "nodes", "domains", "create_ms", "decision_ms", "merge_ms",
+              "split_ms", "ident");
 
-  std::vector<SizeResult> results;
+  // runs[size][round], filled round-robin: every round visits every
+  // size once, in order.
+  std::vector<std::vector<SizeResult>> runs(group_counts.size());
   bool ok = true;
-  for (int groups : group_counts) {
-    SizeResult result = run_size(groups, options);
-    std::printf("%8d %8d %8zu %11.3f %13.4f %10.3f %10.3f %6s\n",
-                result.groups, result.nodes, result.domains, result.create_ms,
-                result.decision_ms, result.merge_ms, result.split_ms,
-                result.fingerprint_ok ? "yes" : "NO");
-    if (!result.ok) {
-      std::printf("  !! %d groups: %s\n", groups, result.error.c_str());
-      ok = false;
+  for (int round = 1; round <= options.rounds && ok; ++round) {
+    for (size_t i = 0; i < group_counts.size(); ++i) {
+      SizeResult result = run_size(group_counts[i], options);
+      std::printf("%6d %8d %8d %8zu %11.3f %13.4f %10.3f %10.3f %6s\n", round,
+                  result.groups, result.nodes, result.domains,
+                  result.create_ms, result.decision_ms, result.merge_ms,
+                  result.split_ms, result.fingerprint_ok ? "yes" : "NO");
+      if (!result.ok) {
+        std::printf("  !! %d groups: %s\n", group_counts[i],
+                    result.error.c_str());
+        ok = false;
+      }
+      runs[i].push_back(result);
     }
-    results.push_back(result);
   }
 
-  double decision_ratio = 0, create_ratio = 0, merge_ratio = 0,
-         split_ratio = 0;
+  auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
+  std::vector<double> decision_ratios;
+  double decision_ratio = 0, ratio_iqr = 0, single_pass_ratio = 0,
+         create_ratio = 0, merge_ratio = 0, split_ratio = 0;
   bool gate_met = true;
-  if (ok && results.size() > 1) {
-    const SizeResult& small = results.front();
-    const SizeResult& large = results.back();
-    auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
-    decision_ratio = ratio(large.decision_ms, small.decision_ms);
-    create_ratio = ratio(large.create_ms, small.create_ms);
-    merge_ratio = ratio(large.merge_ms, small.merge_ms);
-    split_ratio = ratio(large.split_ms, small.split_ms);
+  if (ok && runs.size() > 1) {
+    const std::vector<SizeResult>& small = runs.front();
+    const std::vector<SizeResult>& large = runs.back();
+    for (size_t r = 0; r < small.size(); ++r) {
+      decision_ratios.push_back(
+          ratio(large[r].decision_ms, small[r].decision_ms));
+    }
+    decision_ratio = quantile(decision_ratios, 0.5);
+    ratio_iqr = quantile(decision_ratios, 0.75) -
+                quantile(decision_ratios, 0.25);
+    single_pass_ratio = decision_ratios.front();
+    create_ratio = ratio(median_over(large, &SizeResult::create_ms),
+                         median_over(small, &SizeResult::create_ms));
+    merge_ratio = ratio(median_over(large, &SizeResult::merge_ms),
+                        median_over(small, &SizeResult::merge_ms));
+    split_ratio = ratio(median_over(large, &SizeResult::split_ms),
+                        median_over(small, &SizeResult::split_ms));
+    std::printf("\nper-round decision ratios %d -> %d nodes:",
+                small.front().nodes, large.front().nodes);
+    for (double r : decision_ratios) std::printf(" %.2f", r);
+    std::printf("\n");
     if (!options.smoke) {
       // Smoke spans only 250->1k nodes; too little lever arm (and too
       // much CI noise) for a latency-ratio gate, so it gates identity
       // only. The full sweep holds the decision path flat across 40x.
       gate_met = decision_ratio <= 1.3;
       std::printf(
-          "\ndecision latency %dx nodes: %.2fx (<=1.30x required): %s\n",
-          large.nodes / small.nodes, decision_ratio,
-          gate_met ? "PASS" : "FAIL");
-      std::printf("create %.2fx  merge %.2fx  split %.2fx (reported, ungated)\n",
+          "decision latency %dx nodes: median of %zu rounds %.2fx "
+          "(IQR %.2f; <=1.30x required): %s\n",
+          large.front().nodes / small.front().nodes, decision_ratios.size(),
+          decision_ratio, ratio_iqr, gate_met ? "PASS" : "FAIL");
+      std::printf("single-pass ratio (round 1 alone, ungated): %.2fx\n",
+                  single_pass_ratio);
+      std::printf("create %.2fx  merge %.2fx  split %.2fx (medians over "
+                  "rounds, ungated)\n",
                   create_ratio, merge_ratio, split_ratio);
     }
   }
@@ -281,26 +332,46 @@ int run(const Options& options) {
     std::printf("\nsmoke mode: BENCH_scale.json not rewritten\n");
     return ok ? 0 : 1;
   }
+  // Per size: medians over rounds.
   std::string sizes_json;
-  for (const auto& result : results) {
+  for (const auto& size_runs : runs) {
+    const SizeResult& first = size_runs.front();
+    bool identical = true;
+    for (const SizeResult& run : size_runs) {
+      identical = identical && run.fingerprint_ok;
+    }
     if (!sizes_json.empty()) sizes_json += ",";
     sizes_json += str_format(
         "\n    {\"groups\": %d, \"nodes\": %d, \"domains\": %zu, "
         "\"create_ms\": %.4f, \"decision_ms\": %.4f, \"merge_ms\": %.4f, "
         "\"split_ms\": %.4f, \"fingerprint_ok\": %s}",
-        result.groups, result.nodes, result.domains, result.create_ms,
-        result.decision_ms, result.merge_ms, result.split_ms,
-        result.fingerprint_ok ? "true" : "false");
+        first.groups, first.nodes, first.domains,
+        median_over(size_runs, &SizeResult::create_ms),
+        median_over(size_runs, &SizeResult::decision_ms),
+        median_over(size_runs, &SizeResult::merge_ms),
+        median_over(size_runs, &SizeResult::split_ms),
+        identical ? "true" : "false");
+  }
+  std::string ratios_json;
+  for (double r : decision_ratios) {
+    if (!ratios_json.empty()) ratios_json += ", ";
+    ratios_json += str_format("%.3f", r);
   }
   FILE* out = std::fopen("BENCH_scale.json", "w");
   if (out != nullptr) {
     std::fprintf(out,
                  "{\n  \"bench\": \"abl_scale\",\n"
+                 "  \"rounds\": %d,\n"
                  "  \"sizes\": [%s\n  ],\n"
-                 "  \"decision_ratio\": %.3f,\n  \"create_ratio\": %.3f,\n"
+                 "  \"decision_ratios\": [%s],\n"
+                 "  \"decision_ratio\": %.3f,\n"
+                 "  \"decision_ratio_iqr\": %.3f,\n"
+                 "  \"single_pass_decision_ratio\": %.3f,\n"
+                 "  \"create_ratio\": %.3f,\n"
                  "  \"merge_ratio\": %.3f,\n  \"split_ratio\": %.3f,\n"
                  "  \"decision_gate_met\": %s\n}\n",
-                 sizes_json.c_str(), decision_ratio, create_ratio,
+                 options.rounds, sizes_json.c_str(), ratios_json.c_str(),
+                 decision_ratio, ratio_iqr, single_pass_ratio, create_ratio,
                  merge_ratio, split_ratio, gate_met ? "true" : "false");
     std::fclose(out);
     std::printf("wrote BENCH_scale.json\n");
@@ -316,6 +387,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       options.smoke = true;
+      options.rounds = 2;
       options.decision_reps = 60;
       options.merge_cycles = 2;
     } else {

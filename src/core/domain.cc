@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "common/assert.h"
@@ -105,8 +104,8 @@ struct DomainRouter::Worker {
 
 // Forwards a domain controller's events into the shared WAL, tagged
 // with the domain id and the next per-domain sequence number. Runs on
-// the domain's worker thread (or the router thread during merge/split
-// bookkeeping); DomainJournal implementations are synchronized.
+// the router thread, or on the domain's worker for a posted op;
+// DomainJournal implementations are synchronized.
 class DomainRouter::Tap final : public EventSink {
  public:
   Tap(DomainRouter* router, Domain* domain)
@@ -124,10 +123,11 @@ struct DomainRouter::Domain {
   uint32_t id = 0;
   size_t worker = 0;
   // Journal sequence number of this domain's event stream. Touched only
-  // by the owning worker mid-op and by the router after wait_idle.
+  // by the owning worker during a posted op and by the router thread
+  // after wait_idle.
   uint64_t dseq = 0;
-  // Controller time, sampled by the router when each op was posted and
-  // installed by the worker before applying it.
+  // Controller time, sampled by the router when each op was issued and
+  // installed just before applying it.
   double now = 0;
   uint64_t epochs = 0;  // ops applied; same access discipline as dseq
   std::unique_ptr<Tap> tap;
@@ -136,6 +136,18 @@ struct DomainRouter::Domain {
   std::vector<cluster::NodeId> footprint;  // sorted, unique
   metric::Counter* epochs_total = nullptr;
   metric::Histogram* epoch_us = nullptr;
+
+  // A domain dies only after its worker is drained (retire, merge,
+  // split, router shutdown), so nothing records into its series any
+  // more: release them, or every dead id stays in the registry and in
+  // every scrape.
+  ~Domain() {
+    if (epochs_total == nullptr) return;
+    metric::Telemetry::instance().release_counter(
+        str_format("domain.%u.epochs_total", id));
+    metric::Telemetry::instance().release_histogram(
+        str_format("domain.%u.epoch_us", id));
+  }
 };
 
 void DomainRouter::Tap::on_controller_event(const ControllerEvent& event) {
@@ -234,34 +246,19 @@ void DomainRouter::quiesce() {
   for (size_t i = 0; i < workers_.size(); ++i) wait_idle(i);
 }
 
-template <typename R>
-R DomainRouter::run_on_domain(Domain& domain, double time,
-                              std::function<R(Controller&)> op) {
-  std::optional<R> result;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  Domain* d = &domain;
-  workers_[domain.worker]->post([this, d, time, &op, &result, &done_mutex,
-                                 &done_cv, &done] {
-    const uint64_t start_us = steady_us();
-    d->now = time;
-    d->controller->bind_owner_thread();
-    result.emplace(op(*d->controller));
-    d->controller->unbind_owner_thread();
-    note_op_applied(*d, start_us);
-    // Notify under the mutex: done_cv/done_mutex live on the caller's
-    // stack, and the caller may return (and reuse the frame) the moment
-    // it observes `done` with the mutex free. Holding the lock across
-    // the notify keeps the waiter blocked until this thread is done
-    // touching both objects.
-    std::lock_guard<std::mutex> lock(done_mutex);
-    done = true;
-    done_cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&done] { return done; });
-  return std::move(*result);
+template <typename R, typename Op>
+R DomainRouter::run_on_domain(Domain& domain, double time, Op&& op) {
+  // The worker runs only posted ops; draining it first keeps every op
+  // in router call order, then the op runs right here with the same
+  // prologue and epilogue a worker would apply.
+  wait_idle(domain.worker);
+  const uint64_t start_us = steady_us();
+  domain.now = time;
+  domain.controller->bind_owner_thread();
+  R result = op(*domain.controller);
+  domain.controller->unbind_owner_thread();
+  note_op_applied(domain, start_us);
+  return result;
 }
 
 void DomainRouter::post_on_domain(Domain& domain, double time,
@@ -353,9 +350,9 @@ DomainRouter::Domain& DomainRouter::create_domain(
   ControllerConfig controller_config = config_.controller;
   if (partitioned_ && config_.workers > 1 &&
       controller_config.optimizer.solver.enabled()) {
-    // Domains on different workers improve plans concurrently; slice
-    // the anytime budget so the aggregate solver CPU per epoch stays
-    // bounded by the configured budget even when every worker is busy.
+    // Slice the anytime budget per worker. Blocking routed ops run one
+    // at a time on the router's caller, but every recorded solver
+    // result was measured with the slice, so it stays.
     controller_config.optimizer.solver.budget_ms /= config_.workers;
   }
   domain->controller = std::make_unique<Controller>(controller_config);
@@ -914,7 +911,7 @@ Status DomainRouter::subscribe(InstanceId id,
   Domain& domain = *domains_.at(it->second);
   const double time = sample_now();
   return run_on_domain<Status>(
-      domain, time, [id, handler = std::move(handler)](Controller& c) {
+      domain, time, [id, &handler](Controller& c) {
         return c.subscribe(id, std::move(handler));
       });
 }

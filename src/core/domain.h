@@ -1,8 +1,8 @@
 // Partitioned decision core: the namespace is decomposed into
 // *optimization domains* — connected components of instances whose
-// bundles' admissible node sets overlap — and each domain runs on its
-// own worker with a private Controller, epoch batching, pending-var
-// flush and journal event stream.
+// bundles' admissible node sets overlap — and each domain has a
+// private Controller, epoch batching, pending-var flush and journal
+// event stream.
 //
 // Why this preserves decision identity. For separable objectives
 // (mean, throughput) every instance outside a bundle's domain
@@ -26,10 +26,14 @@
 //                    public methods must be called from one thread (the
 //                    drain thread under the TCP server, the test body
 //                    in tests).
-//   domain worker  — fixed pool of threads; domain ops are posted to
-//                    worker[domain.id % workers] and run against that
-//                    domain's Controller with the owner-thread binding
-//                    held for the duration of the op.
+//   domain op      — every blocking routed op runs on the router's
+//                    caller thread, against the domain's Controller
+//                    with the owner-thread binding held for the
+//                    duration of the op, after the domain's worker has
+//                    drained everything posted to it earlier.
+//   domain worker  — fixed pool of threads that run only *posted* ops
+//                    (post_external_load), each on
+//                    worker[domain.id % workers] in post order.
 //   merge/split    — a registration whose footprint overlaps several
 //                    domains merges them (ascending domain id, lowest
 //                    id survives, absorbed instances move via the
@@ -132,7 +136,8 @@ class DomainRouter {
   Status resize(InstanceId id, const std::string& bundle, double workers);
   // The handler is retained by the router and re-attached when the
   // instance's domain merges or splits (the new controller replays the
-  // current configuration, like a RESUME). Called on worker threads.
+  // current configuration, like a RESUME). Called on the router's
+  // caller thread, or on a worker thread when a posted op reconfigures.
   Status subscribe(InstanceId id, Controller::UpdateHandler handler);
   Result<std::string> get_variable(InstanceId id, const std::string& name);
 
@@ -167,7 +172,7 @@ class DomainRouter {
     double solver_improvement = 0;    // total objective improvement
   };
   // Thread-safe snapshot of per-domain stats, safe to call from net
-  // shards while workers are mid-decision.
+  // shards while a decision is in flight.
   std::vector<DomainInfo> snapshot() const;
 
  private:
@@ -205,15 +210,15 @@ class DomainRouter {
   Status node_event(ControllerEvent::Kind kind, const std::string& hostname,
                     int value, bool post);
   double sample_now();
-  // Runs `op` on the domain's worker with the sampled time installed
-  // and the controller's owner-thread binding held; blocks for the
-  // result. R must be default-constructible (Status / Result<...>).
-  template <typename R>
-  R run_on_domain(Domain& domain, double time,
-                  std::function<R(Controller&)> op);
+  // Runs `op` on the calling thread once the domain's worker has
+  // applied every earlier posted op, with the sampled time installed
+  // and the controller's owner-thread binding held.
+  template <typename R, typename Op>
+  R run_on_domain(Domain& domain, double time, Op&& op);
+  // Queues `op` on the domain's worker (same prologue and epilogue).
   void post_on_domain(Domain& domain, double time,
                       std::function<void(Controller&)> op);
-  // Worker-side epilogue of every domain op: per-domain epoch/latency
+  // Epilogue of every domain op: per-domain epoch/latency
   // telemetry, trace span, and the stats mirror for snapshot().
   void note_op_applied(Domain& domain, uint64_t start_us);
   void wait_idle(size_t worker) const;

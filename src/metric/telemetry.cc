@@ -126,25 +126,40 @@ Telemetry::Telemetry() {
   }
 }
 
-Counter& Telemetry::counter(const std::string& name) {
+template <typename T>
+T& Telemetry::acquire(Registry<T>& registry, const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+  Entry<T>& entry = registry[name];
+  if (entry.instrument == nullptr) entry.instrument = std::make_unique<T>();
+  ++entry.refs;
+  return *entry.instrument;
+}
+
+template <typename T>
+void Telemetry::release(Registry<T>& registry, const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = registry.find(name);
+  if (it != registry.end() && --it->second.refs == 0) registry.erase(it);
+}
+
+Counter& Telemetry::counter(const std::string& name) {
+  return acquire(counters_, name);
 }
 
 Gauge& Telemetry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
+  return acquire(gauges_, name);
 }
 
 Histogram& Telemetry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
+  return acquire(histograms_, name);
+}
+
+void Telemetry::release_counter(const std::string& name) {
+  release(counters_, name);
+}
+
+void Telemetry::release_histogram(const std::string& name) {
+  release(histograms_, name);
 }
 
 namespace {
@@ -164,14 +179,16 @@ std::string Telemetry::render_prometheus() const {
     std::string prom = prometheus_name(name);
     out += str_format("# TYPE %s counter\n%s %llu\n", prom.c_str(),
                       prom.c_str(),
-                      static_cast<unsigned long long>(counter->value()));
+                      static_cast<unsigned long long>(
+                          counter.instrument->value()));
   }
   for (const auto& [name, gauge] : gauges_) {
     std::string prom = prometheus_name(name);
     out += str_format("# TYPE %s gauge\n%s %lld\n", prom.c_str(), prom.c_str(),
-                      static_cast<long long>(gauge->value()));
+                      static_cast<long long>(gauge.instrument->value()));
   }
-  for (const auto& [name, histogram] : histograms_) {
+  for (const auto& [name, entry] : histograms_) {
+    const Histogram* histogram = entry.instrument.get();
     std::string prom = prometheus_name(name);
     out += str_format("# TYPE %s histogram\n", prom.c_str());
     uint64_t cumulative = 0;
@@ -205,7 +222,8 @@ std::string Telemetry::render_json() const {
     if (!first) out += ',';
     first = false;
     out += str_format("\"%s\":%llu", name.c_str(),
-                      static_cast<unsigned long long>(counter->value()));
+                      static_cast<unsigned long long>(
+                          counter.instrument->value()));
   }
   out += "},\"gauges\":{";
   first = true;
@@ -213,11 +231,12 @@ std::string Telemetry::render_json() const {
     if (!first) out += ',';
     first = false;
     out += str_format("\"%s\":%lld", name.c_str(),
-                      static_cast<long long>(gauge->value()));
+                      static_cast<long long>(gauge.instrument->value()));
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, histogram] : histograms_) {
+  for (const auto& [name, entry] : histograms_) {
+    const Histogram* histogram = entry.instrument.get();
     if (!first) out += ',';
     first = false;
     out += str_format(
@@ -233,9 +252,9 @@ std::string Telemetry::render_json() const {
 
 void Telemetry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
-  for (auto& [name, histogram] : histograms_) histogram->reset();
+  for (auto& [name, counter] : counters_) counter.instrument->reset();
+  for (auto& [name, gauge] : gauges_) gauge.instrument->reset();
+  for (auto& [name, histogram] : histograms_) histogram.instrument->reset();
 }
 
 }  // namespace harmony::metric

@@ -210,15 +210,25 @@ class ScopedSpan {
 };
 
 // Process-global instrument registry. Instruments are created on first
-// lookup and never destroyed (stable addresses), so hot paths resolve
-// their instruments once and keep the pointer.
+// lookup and keep a stable address until released, so hot paths
+// resolve their instruments once and keep the pointer.
 class Telemetry {
  public:
   static Telemetry& instance();
 
+  // Each lookup takes one reference to the named instrument.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
+
+  // Drops one reference taken by counter() / histogram(); the last one
+  // destroys the instrument, which then leaves every scrape. For
+  // series whose subject dies (an optimization domain); an instrument
+  // nobody releases lives for the process. Precondition: the releasing
+  // owner no longer uses its reference and no thread still records
+  // through it.
+  void release_counter(const std::string& name);
+  void release_histogram(const std::string& name);
 
   // Prometheus text exposition format. Dotted names are mapped to
   // underscores and prefixed "harmony_".
@@ -232,10 +242,22 @@ class Telemetry {
  private:
   Telemetry();
 
+  template <typename T>
+  struct Entry {
+    std::unique_ptr<T> instrument;
+    uint64_t refs = 0;  // lookups not yet released
+  };
+  template <typename T>
+  using Registry = std::map<std::string, Entry<T>>;
+  template <typename T>
+  T& acquire(Registry<T>& registry, const std::string& name);
+  template <typename T>
+  void release(Registry<T>& registry, const std::string& name);
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  Registry<Counter> counters_;
+  Registry<Gauge> gauges_;
+  Registry<Histogram> histograms_;
 };
 
 // Shorthand for one-off lookups; hot paths should cache the reference.

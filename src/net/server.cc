@@ -57,8 +57,8 @@ std::string token_prefix(const std::string& token) {
 // The serve loop's thread is the controller's owner thread while it
 // runs; the binding is released on exit so tests (and embedders) can
 // inspect the controller from their own thread afterwards. In routed
-// mode there is no single controller to bind (each domain worker binds
-// its own around each op), so a null controller is a no-op.
+// mode there is no single controller to bind (the router binds each
+// domain's controller around each op), so a null controller is a no-op.
 class OwnerBind {
  public:
   explicit OwnerBind(core::Controller* controller) : controller_(controller) {
@@ -285,7 +285,7 @@ bool HarmonyTcpServer::run_once(int timeout_ms) {
   }
   // Ships everything staged this cycle — dispatch replies plus any
   // UPDATE fan-out queued since the last tick (expired-session
-  // re-evaluations above, departure cascades, domain workers).
+  // re-evaluations above, departure cascades).
   progress = pump_updates() || progress;
   progress = pump_replication() || progress;
   ship_staged();
@@ -400,10 +400,10 @@ void HarmonyTcpServer::dispatch(Connection& connection,
                          "journal failed: " + journal.error().message);
   }
   // The epoch close above flushed pending variable updates into the
-  // queue (routed ops block until their domain epoch flushed), so
-  // pumping here puts UPDATE frames ahead of the reply on the wire —
-  // clients that block on the reply then drain their buffer see a
-  // complete picture.
+  // queue (a routed op runs on this thread and flushes its domain epoch
+  // before it returns), so pumping here puts UPDATE frames ahead of the
+  // reply on the wire — clients that block on the reply then drain
+  // their buffer see a complete picture.
   pump_updates();
   if (reply.verb.empty()) {
     // No-reply sentinel (replication ACKs).
@@ -431,11 +431,12 @@ bool HarmonyTcpServer::should_defer_reply(const std::string& verb,
 
 Status HarmonyTcpServer::attach_updates(Connection& connection,
                                         core::InstanceId id) {
-  // Handlers fire wherever the decision is flushed — a domain worker
-  // thread, or the controller thread at epoch close — and none of the
-  // egress state may be touched there. They queue by connection id
-  // (the connection may die before the pump runs) and the controller
-  // thread pumps the queue into the normal send path.
+  // Handlers fire wherever the decision is flushed: on the controller
+  // thread (at epoch close, or inside a routed op, which runs on the
+  // router's caller), or on a domain worker for a posted op. None of
+  // them may touch egress state mid-decision: they queue by connection
+  // id (the connection may die before the pump runs) and the
+  // controller thread pumps the queue into the normal send path.
   const uint64_t conn_id = connection.id;
   core::Controller::UpdateHandler handler =
       [this, conn_id](const std::string& name, const std::string& value) {

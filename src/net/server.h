@@ -91,11 +91,11 @@ class HarmonyTcpServer {
   HarmonyTcpServer(core::Controller* controller, uint16_t port,
                    ServerConfig config = {});
   // Routed mode: decision operations go to the partitioned decision
-  // core instead of a single controller — REGISTER/LOAD/END land on the
-  // owning domain's worker. The router is published for the {DOMAINS}
-  // wire verb and the harmonyDomains console command for the server's
-  // lifetime. Variable updates fire on domain worker threads and join
-  // the same queue a controller core feeds.
+  // core instead of a single controller — REGISTER/LOAD/END run against
+  // the owning domain's controller, on this server's controller thread.
+  // The router is published for the {DOMAINS} wire verb and the
+  // harmonyDomains console command for the server's lifetime. Variable
+  // updates join the same queue a controller core feeds.
   HarmonyTcpServer(core::DomainRouter* router, uint16_t port,
                    ServerConfig config = {});
   ~HarmonyTcpServer();
@@ -273,8 +273,8 @@ class HarmonyTcpServer {
   metric::Histogram* mailbox_wait_us_;
 
   // Update handlers append here from whichever thread flushes the
-  // decision (a domain worker, or the controller thread itself); the
-  // controller thread pumps into send().
+  // decision (the controller thread itself, or a domain worker running
+  // a posted op); the controller thread pumps into send().
   std::mutex updates_mutex_;
   std::vector<PendingUpdate> pending_updates_;  // guarded by updates_mutex_
   std::vector<PendingUpdate> update_batch_;  // controller thread only

@@ -22,6 +22,7 @@
 #include "common/strings.h"
 #include "core/controller.h"
 #include "core/domain.h"
+#include "metric/telemetry.h"
 #include "persist/persistence.h"
 #include "test_scenarios.h"
 
@@ -234,6 +235,125 @@ TEST(DomainDifferentialTest, UnownedNodeEventsReachLaterDomains) {
   h.load("gz-00", 0);
   h.toggle("gz-01", true);
   h.reevaluate();
+}
+
+// Posted reports ride the worker queue while blocking ops run on the
+// caller thread: every blocking op must first see everything posted
+// before it. Each round posts a burst of load reports on both groups'
+// hosts, then immediately reads each domain's placement (and every
+// other round re-evaluates); a single-domain reference fed the same
+// reports synchronously must agree on every read and every fingerprint.
+TEST(DomainOrderingTest, BlockingOpsSeeEveryEarlierPost) {
+  const std::vector<std::string> groups = {"ga", "gb"};
+  const std::string cluster = grouped_cluster_script(groups, 3);
+  auto clock = std::make_shared<double>(0.0);
+  auto source = [clock] { return *clock; };
+  DomainRouterConfig config;
+  config.workers = 2;
+  DomainRouter router(config);
+  DomainRouterConfig reference_config;
+  reference_config.single_domain = true;
+  DomainRouter reference(reference_config);
+  for (DomainRouter* r : {&router, &reference}) {
+    r->set_time_source(source);
+    ASSERT_TRUE(r->add_nodes_script(cluster).ok());
+    ASSERT_TRUE(r->finalize_cluster().ok());
+  }
+  std::vector<InstanceId> firsts;
+  int tag = 1;
+  for (const auto& group : groups) {
+    for (int i = 0; i < 2; ++i) {
+      *clock += 10;
+      auto a = router.register_script(pinned_group_bundle(group, tag));
+      auto b = reference.register_script(pinned_group_bundle(group, tag));
+      ++tag;
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(a.value(), b.value());
+      if (i == 0) firsts.push_back(a.value());
+    }
+  }
+  ASSERT_EQ(router.domain_count(), groups.size());
+
+  for (int round = 0; round < 40; ++round) {
+    for (const auto& group : groups) {
+      for (int node = 0; node < 3; ++node) {
+        const std::string host = str_format("%s-%02d", group.c_str(), node);
+        const int tasks = (round + 2 * node) % 4;
+        *clock += 1;
+        ASSERT_TRUE(router.post_external_load(host, tasks).ok());
+        ASSERT_TRUE(reference.report_external_load(host, tasks).ok());
+      }
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      *clock += 1;
+      if (round % 2 == 1) {
+        ASSERT_TRUE(router.reevaluate().ok());
+        ASSERT_TRUE(reference.reevaluate().ok());
+      }
+      auto option = reference.get_variable(firsts[g], "layout.option");
+      ASSERT_TRUE(option.ok());
+      for (const std::string& name :
+           {std::string("layout.option"), std::string("layout.switched"),
+            "layout." + option.value() + ".worker.node"}) {
+        auto a = router.get_variable(firsts[g], name);
+        auto b = reference.get_variable(firsts[g], name);
+        ASSERT_TRUE(a.ok() && b.ok()) << name;
+        EXPECT_EQ(a.value(), b.value()) << "round " << round << " " << name;
+      }
+    }
+    EXPECT_EQ(fingerprint(router), fingerprint(reference)) << "round "
+                                                           << round;
+  }
+}
+
+// Per-domain series live exactly as long as their domain: apps that
+// register and END on disjoint groups create and retire a domain each,
+// and none of those ids may linger in the scrape.
+TEST(DomainTelemetryTest, RetiredDomainsLeaveTheScrape) {
+  auto domain_series = [] {
+    const std::string text = metric::Telemetry::instance().render_prometheus();
+    const std::string marker = "# TYPE harmony_domain_";
+    size_t count = 0;
+    for (size_t pos = text.find(marker); pos != std::string::npos;
+         pos = text.find(marker, pos + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  const size_t before = domain_series();
+  const std::vector<std::string> groups = {"ga", "gb", "gc", "gd"};
+  const std::string cluster = grouped_cluster_script(groups, 3);
+  // The reference's domain 1 shares its series names with the router's
+  // domain 1, which retires below: the shared series must survive.
+  DomainRouterConfig reference_config;
+  reference_config.single_domain = true;
+  DomainRouter reference(reference_config);
+  ASSERT_TRUE(reference.add_nodes_script(cluster).ok());
+  ASSERT_TRUE(reference.finalize_cluster().ok());
+  ASSERT_TRUE(reference.register_script(pinned_group_bundle("ga", 1)).ok());
+
+  DomainRouterConfig config;
+  config.workers = 2;
+  DomainRouter router(config);
+  ASSERT_TRUE(router.add_nodes_script(cluster).ok());
+  ASSERT_TRUE(router.finalize_cluster().ok());
+  // One resident app keeps one domain alive throughout.
+  ASSERT_TRUE(router.register_script(pinned_group_bundle("gd", 1)).ok());
+  int tag = 2;
+  for (int round = 0; round < 12; ++round) {
+    for (size_t g = 0; g + 1 < groups.size(); ++g) {
+      auto id = router.register_script(pinned_group_bundle(groups[g], tag++));
+      ASSERT_TRUE(id.ok());
+      ASSERT_TRUE(router.unregister(id.value()).ok());
+    }
+  }
+  EXPECT_EQ(router.domain_count(), 1u);
+  // Each live domain owns two series (epochs_total, epoch_us).
+  EXPECT_LE(domain_series(),
+            before + 2 * (router.domain_count() + reference.domain_count()));
+  ASSERT_TRUE(reference.reevaluate().ok());
+  const std::string text = metric::Telemetry::instance().render_prometheus();
+  EXPECT_NE(text.find("harmony_domain_1_epochs_total "), std::string::npos);
 }
 
 // --- crash recovery from the domain-tagged journal --------------------------

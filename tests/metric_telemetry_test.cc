@@ -107,6 +107,26 @@ TEST(Telemetry, InstrumentAddressesAreStable) {
   EXPECT_EQ(&first, &telemetry_counter("test.stable"));
 }
 
+TEST(Telemetry, ReleaseDestroysOnTheLastReference) {
+  Telemetry& registry = Telemetry::instance();
+  // Two owners of the same series (say, two routers' domain 1).
+  telemetry_counter("release.epochs_total").add(2);
+  telemetry_counter("release.epochs_total");
+  telemetry_histogram("release.epoch_us").record(5);
+  registry.release_counter("release.epochs_total");
+  registry.release_histogram("release.epoch_us");
+  std::string text = registry.render_prometheus();
+  EXPECT_NE(text.find("harmony_release_epochs_total 2"), std::string::npos);
+  EXPECT_EQ(text.find("harmony_release_epoch_us"), std::string::npos);
+  registry.release_counter("release.epochs_total");
+  text = registry.render_prometheus();
+  EXPECT_EQ(text.find("harmony_release_epochs_total"), std::string::npos);
+  // A fresh lookup starts from zero; releasing an unknown name is a no-op.
+  EXPECT_EQ(telemetry_counter("release.epochs_total").value(), 0u);
+  registry.release_counter("release.epochs_total");
+  registry.release_counter("release.never_registered");
+}
+
 TEST(Telemetry, PrometheusRendering) {
   telemetry_counter("render.requests_total").reset();
   telemetry_counter("render.requests_total").add(3);

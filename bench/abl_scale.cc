@@ -124,9 +124,7 @@ SizeResult run_size(int groups, const Options& options) {
   config.groups = groups;
   const std::string cluster = testing::swarm_cluster_script(config);
 
-  core::DomainRouterConfig router_config;
-  router_config.workers = 2;
-  core::DomainRouter router(router_config);
+  core::DomainRouter router;
   core::DomainRouterConfig reference_config;
   reference_config.single_domain = true;
   core::DomainRouter reference(reference_config);

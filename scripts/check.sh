@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: build + ctest in the regular config, then in
-# the ASan+UBSan config, then the partitioned-decision-core and network
-# suites under ThreadSanitizer (domain workers and I/O shards cross
+# the ASan+UBSan config, then the multi-threaded suites under
+# ThreadSanitizer (I/O shards, fsync and replication threads cross
 # threads). Usage: scripts/check.sh [-j N]
 set -euo pipefail
 
@@ -31,23 +31,14 @@ run_config asan build-asan -DHARMONY_SANITIZE=ON
 
 # TSan: only the multi-threaded suites — building the whole tree under
 # a third config would double the sweep for tests that never leave one
-# thread. The decision core's domain workers, the I/O shards and their
-# mailbox, the update queue, the journal's group-commit fsync thread,
-# the lease heartbeat and the replication tap all cross threads, and
-# domain workers race to the shared topology's lazily built path index
-# (cluster_topology_test). apps_malleable_test rides along: the mid-iteration resize storm
-# exercises the join/retire protocol.
+# thread. tests/CMakeLists.txt defines the list (and why each suite is
+# on it) once: the `tsan_tests` target and the `tsan` ctest label.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DHARMONY_TSAN=ON
 echo "=== [tsan] build ==="
-cmake --build build-tsan -j "$jobs" \
-  --target cluster_topology_test core_domain_test core_storm_test \
-  core_solver_test core_scale_test apps_malleable_test net_server_test \
-  net_resume_test net_scale_test net_metrics_test persist_stream_test \
-  persist_crash_test replica_failover_test
+cmake --build build-tsan -j "$jobs" --target tsan_tests
 echo "=== [tsan] test ==="
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R '^(cluster_topology|core_(domain|storm|solver|scale)|apps_malleable|net_(server|resume|scale|metrics)|persist_(stream|crash)|replica_failover)_test$'
+ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L '^tsan$'
 
 # Anytime-allocator gates at smoke scale: budget_ms = 0 bit-identity,
 # solver <= greedy, strict improvement on packing-stress. Does not

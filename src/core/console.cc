@@ -215,33 +215,17 @@ void register_console(rsl::Interp& interp, Controller& controller) {
 
   interp.register_command(
       "harmonyDomains", [](rsl::Interp&, const Args& args) -> R {
-        // Mirrors the wire-level {DOMAINS} verb: reads the published
-        // router's stats mirror, so it is safe while domain workers are
-        // mid-decision and needs no reference to a specific controller.
+        // The same rows as the wire-level {DOMAINS} verb, read from the
+        // published router's stats mirror, so it needs no reference to
+        // a specific controller.
         if (args.size() != 1) return usage("harmonyDomains");
         bool published = false;
-        auto domains = published_domains(&published);
+        std::string rows = published_domains(&published);
         if (!published) {
           return Err<std::string>(ErrorCode::kNotFound,
                                   "no domain router published");
         }
-        std::vector<std::string> rows;
-        for (const auto& domain : domains) {
-          rows.push_back(rsl::list_build(
-              {str_format("%u", domain.id), str_format("%zu", domain.worker),
-               rsl::list_build(domain.members),
-               str_format("%llu",
-                          static_cast<unsigned long long>(domain.epochs)),
-               format_number(domain.last_decision_ms),
-               rsl::list_build({str_format("%llu",
-                                           static_cast<unsigned long long>(
-                                               domain.solver_passes)),
-                                str_format("%llu",
-                                           static_cast<unsigned long long>(
-                                               domain.solver_moves)),
-                                format_number(domain.solver_improvement)})}));
-        }
-        return rsl::list_build(rows);
+        return rows;
       });
 
   interp.register_command(

@@ -9,6 +9,7 @@
 #include "common/strings.h"
 #include "metric/telemetry.h"
 #include "rsl/rsl.h"
+#include "rsl/value.h"
 
 namespace harmony::core {
 
@@ -31,81 +32,37 @@ void publish_domain_router(DomainRouter* router) {
   g_published_router = router;
 }
 
-std::vector<DomainRouter::DomainInfo> published_domains(bool* published) {
-  DomainRouter* router = nullptr;
+std::string published_domains(bool* published) {
+  std::vector<DomainRouter::DomainInfo> domains;
   {
+    // Held across snapshot(): ~DomainRouter unpublishes under this lock,
+    // so the router cannot die mid-read.
     std::lock_guard<std::mutex> lock(g_publish_mutex);
-    router = g_published_router;
+    if (published != nullptr) *published = g_published_router != nullptr;
+    if (g_published_router == nullptr) return "";
+    domains = g_published_router->snapshot();
   }
-  if (published != nullptr) *published = router != nullptr;
-  if (router == nullptr) return {};
-  return router->snapshot();
+  std::vector<std::string> rows;
+  for (const auto& domain : domains) {
+    rows.push_back(rsl::list_build(
+        {str_format("%u", domain.id), rsl::list_build(domain.members),
+         str_format("%llu", static_cast<unsigned long long>(domain.epochs)),
+         format_number(domain.last_decision_ms),
+         rsl::list_build(
+             {str_format("%llu",
+                         static_cast<unsigned long long>(domain.solver_passes)),
+              str_format("%llu",
+                         static_cast<unsigned long long>(domain.solver_moves)),
+              format_number(domain.solver_improvement)})}));
+  }
+  return rsl::list_build(rows);
 }
-
-// --- worker pool -----------------------------------------------------------
-
-struct DomainRouter::Worker {
-  std::mutex mutex;
-  std::condition_variable cv;        // queue became non-empty / stop
-  std::condition_variable idle_cv;   // queue drained and op finished
-  std::deque<std::function<void()>> queue;  // guarded by mutex
-  bool busy = false;                        // guarded by mutex
-  bool stop = false;                        // guarded by mutex
-  std::thread thread;
-
-  void start() {
-    thread = std::thread([this] { run(); });
-  }
-
-  void post(std::function<void()> fn) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      queue.push_back(std::move(fn));
-    }
-    cv.notify_one();
-  }
-
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex);
-    idle_cv.wait(lock, [this] { return queue.empty() && !busy; });
-  }
-
-  void shutdown() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      stop = true;
-    }
-    cv.notify_one();
-    if (thread.joinable()) thread.join();
-  }
-
- private:
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      cv.wait(lock, [this] { return stop || !queue.empty(); });
-      if (queue.empty()) {
-        if (stop) return;
-        continue;
-      }
-      auto fn = std::move(queue.front());
-      queue.pop_front();
-      busy = true;
-      lock.unlock();
-      fn();
-      lock.lock();
-      busy = false;
-      if (queue.empty()) idle_cv.notify_all();
-    }
-  }
-};
 
 // --- per-domain state ------------------------------------------------------
 
 // Forwards a domain controller's events into the shared WAL, tagged
 // with the domain id and the next per-domain sequence number. Runs on
-// the router thread, or on the domain's worker for a posted op;
-// DomainJournal implementations are synchronized.
+// the router's caller thread.
 class DomainRouter::Tap final : public EventSink {
  public:
   Tap(DomainRouter* router, Domain* domain)
@@ -121,15 +78,12 @@ class DomainRouter::Tap final : public EventSink {
 
 struct DomainRouter::Domain {
   uint32_t id = 0;
-  size_t worker = 0;
-  // Journal sequence number of this domain's event stream. Touched only
-  // by the owning worker during a posted op and by the router thread
-  // after wait_idle.
+  // Journal sequence number of this domain's event stream.
   uint64_t dseq = 0;
   // Controller time, sampled by the router when each op was issued and
   // installed just before applying it.
   double now = 0;
-  uint64_t epochs = 0;  // ops applied; same access discipline as dseq
+  uint64_t epochs = 0;  // ops applied
   std::unique_ptr<Tap> tap;
   std::unique_ptr<Controller> controller;
   std::vector<InstanceId> instances;       // sorted
@@ -137,10 +91,9 @@ struct DomainRouter::Domain {
   metric::Counter* epochs_total = nullptr;
   metric::Histogram* epoch_us = nullptr;
 
-  // A domain dies only after its worker is drained (retire, merge,
-  // split, router shutdown), so nothing records into its series any
-  // more: release them, or every dead id stays in the registry and in
-  // every scrape.
+  // A domain dies only between ops (retire, merge, split, router
+  // shutdown), so nothing records into its series any more: release
+  // them, or every dead id stays in the registry and in every scrape.
   ~Domain() {
     if (epochs_total == nullptr) return;
     metric::Telemetry::instance().release_counter(
@@ -167,21 +120,11 @@ DomainRouter::DomainRouter(DomainRouterConfig config)
       objective_(make_objective(config_.controller.objective)) {
   partitioned_ = !config_.single_domain && objective_ != nullptr &&
                  objective_->separable();
-  const int workers = std::max(1, config_.workers);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->start();
-  }
 }
 
 DomainRouter::~DomainRouter() {
-  quiesce();
-  for (auto& worker : workers_) worker->shutdown();
-  {
-    std::lock_guard<std::mutex> lock(g_publish_mutex);
-    if (g_published_router == this) g_published_router = nullptr;
-  }
+  std::lock_guard<std::mutex> lock(g_publish_mutex);
+  if (g_published_router == this) g_published_router = nullptr;
 }
 
 // --- cluster setup ---------------------------------------------------------
@@ -236,22 +179,10 @@ double DomainRouter::sample_now() {
   return time_source_ ? time_source_() : 0.0;
 }
 
-// --- worker dispatch -------------------------------------------------------
-
-void DomainRouter::wait_idle(size_t worker) const {
-  workers_[worker]->wait_idle();
-}
-
-void DomainRouter::quiesce() {
-  for (size_t i = 0; i < workers_.size(); ++i) wait_idle(i);
-}
+// --- domain dispatch -------------------------------------------------------
 
 template <typename R, typename Op>
 R DomainRouter::run_on_domain(Domain& domain, double time, Op&& op) {
-  // The worker runs only posted ops; draining it first keeps every op
-  // in router call order, then the op runs right here with the same
-  // prologue and epilogue a worker would apply.
-  wait_idle(domain.worker);
   const uint64_t start_us = steady_us();
   domain.now = time;
   domain.controller->bind_owner_thread();
@@ -259,19 +190,6 @@ R DomainRouter::run_on_domain(Domain& domain, double time, Op&& op) {
   domain.controller->unbind_owner_thread();
   note_op_applied(domain, start_us);
   return result;
-}
-
-void DomainRouter::post_on_domain(Domain& domain, double time,
-                                  std::function<void(Controller&)> op) {
-  Domain* d = &domain;
-  workers_[domain.worker]->post([this, d, time, op = std::move(op)] {
-    const uint64_t start_us = steady_us();
-    d->now = time;
-    d->controller->bind_owner_thread();
-    op(*d->controller);
-    d->controller->unbind_owner_thread();
-    note_op_applied(*d, start_us);
-  });
 }
 
 void DomainRouter::note_op_applied(Domain& domain, uint64_t start_us) {
@@ -343,19 +261,10 @@ void DomainRouter::sync_node_state(
 }
 
 DomainRouter::Domain& DomainRouter::create_domain(
-    uint32_t id, size_t worker_hint, std::vector<cluster::NodeId> scope) {
+    uint32_t id, std::vector<cluster::NodeId> scope) {
   auto domain = std::make_unique<Domain>();
   domain->id = id;
-  domain->worker = worker_hint % workers_.size();
-  ControllerConfig controller_config = config_.controller;
-  if (partitioned_ && config_.workers > 1 &&
-      controller_config.optimizer.solver.enabled()) {
-    // Slice the anytime budget per worker. Blocking routed ops run one
-    // at a time on the router's caller, but every recorded solver
-    // result was measured with the slice, so it stays.
-    controller_config.optimizer.solver.budget_ms /= config_.workers;
-  }
-  domain->controller = std::make_unique<Controller>(controller_config);
+  domain->controller = std::make_unique<Controller>(config_.controller);
   // Share the template's finalized topology instead of replaying the
   // cluster definition: pool and version state are allocated over the
   // scope (the domain footprint) only, making creation O(|scope|).
@@ -377,9 +286,7 @@ DomainRouter::Domain& DomainRouter::create_domain(
   HARMONY_ASSERT(inserted);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    DomainInfo& info = info_[id];
-    info.id = id;
-    info.worker = it->second->worker;
+    info_[id].id = id;
   }
   return *it->second;
 }
@@ -387,7 +294,6 @@ DomainRouter::Domain& DomainRouter::create_domain(
 void DomainRouter::retire_domain(uint32_t domain_id) {
   auto it = domains_.find(domain_id);
   HARMONY_ASSERT(it != domains_.end());
-  wait_idle(it->second->worker);
   retired_reconfigurations_ += it->second->controller->reconfigurations();
   for (cluster::NodeId node : it->second->footprint) {
     if (node < node_domain_.size() && node_domain_[node] == domain_id) {
@@ -428,7 +334,6 @@ void DomainRouter::refresh_info(const Domain& domain) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   DomainInfo& info = info_[domain.id];
   info.id = domain.id;
-  info.worker = domain.worker;
   info.instances = domain.instances.size();
   info.members = std::move(members);
   info.epochs = domain.epochs;
@@ -503,12 +408,10 @@ uint32_t DomainRouter::domain_for_footprint(
 }
 
 uint32_t DomainRouter::merge_domains(std::vector<uint32_t> ids) {
-  // Deterministic escalation path: quiesce the involved workers in
-  // ascending domain-id order (the id-ordered lock analog), keep the
-  // lowest id as the survivor, and move the absorbed domains' instances
-  // across in id order via the restore path.
+  // Deterministic escalation path: keep the lowest id as the survivor
+  // and move the absorbed domains' instances across in ascending id
+  // order via the restore path.
   HARMONY_ASSERT(ids.size() > 1);
-  for (uint32_t id : ids) wait_idle(domains_.at(id)->worker);
   Domain& survivor = *domains_.at(ids[0]);
   // The survivor annexes the absorbed footprints: widen its scoped pool
   // by exactly those nodes and reconcile them against the master state
@@ -608,7 +511,6 @@ void DomainRouter::rebalance_after_departure(uint32_t domain_id) {
   // its own controller. The component holding the lowest instance id
   // keeps the domain id and continues its journal sequence; the others
   // open fresh streams under fresh ids.
-  wait_idle(domain.worker);
   auto extracted = domains_.extract(domain_id);
   std::unique_ptr<Domain> old = std::move(extracted.mapped());
   retired_reconfigurations_ += old->controller->reconfigurations();
@@ -629,8 +531,7 @@ void DomainRouter::rebalance_after_departure(uint32_t domain_id) {
       scope.insert(scope.end(), instance_nodes_[id].begin(),
                    instance_nodes_[id].end());
     }
-    Domain& fresh =
-        create_domain(new_id, (new_id - 1) % workers_.size(), std::move(scope));
+    Domain& fresh = create_domain(new_id, std::move(scope));
     if (first) {
       fresh.dseq = old->dseq;    // the stream continues gap-free
       fresh.epochs = old->epochs;
@@ -692,7 +593,7 @@ Result<InstanceId> DomainRouter::register_script(
   const bool fresh_domain = domain_id == 0;
   if (fresh_domain) {
     domain_id = next_domain_id_++;
-    create_domain(domain_id, (domain_id - 1) % workers_.size(), nodes);
+    create_domain(domain_id, nodes);
   }
   Domain& domain = *domains_.at(domain_id);
 
@@ -761,24 +662,17 @@ Status DomainRouter::unregister(InstanceId id) {
 Status DomainRouter::report_external_load(const std::string& hostname,
                                           int concurrent_tasks) {
   return node_event(ControllerEvent::Kind::kExternalLoad, hostname,
-                    concurrent_tasks, /*post=*/false);
-}
-
-Status DomainRouter::post_external_load(const std::string& hostname,
-                                        int concurrent_tasks) {
-  return node_event(ControllerEvent::Kind::kExternalLoad, hostname,
-                    concurrent_tasks, /*post=*/true);
+                    concurrent_tasks);
 }
 
 Status DomainRouter::set_node_online(const std::string& hostname,
                                      bool online) {
   return node_event(ControllerEvent::Kind::kNodeOnline, hostname,
-                    online ? 1 : 0, /*post=*/false);
+                    online ? 1 : 0);
 }
 
 Status DomainRouter::node_event(ControllerEvent::Kind kind,
-                                const std::string& hostname, int value,
-                                bool post) {
+                                const std::string& hostname, int value) {
   const bool load = kind == ControllerEvent::Kind::kExternalLoad;
   // Mirrors the Controller's validation order so callers see identical
   // errors.
@@ -825,25 +719,11 @@ Status DomainRouter::node_event(ControllerEvent::Kind kind,
     journal_router_event(std::move(event), time);
     return Status::Ok();
   }
-  auto apply = [load, value](Controller& c, const std::string& host) {
-    return load ? c.report_external_load(host, value)
-                : c.set_node_online(host, value != 0);
-  };
-  Domain& domain = *domains_.at(owner);
-  if (post) {
-    // Master state reflects the post immediately (it is the input
-    // sequence); the owning worker applies it in queue order, and any
-    // merge/split first drains that queue, so the event lands against
-    // the domain that owned the node when it was posted.
-    record();
-    post_on_domain(domain, time, [apply, hostname](Controller& c) {
-      auto status = apply(c, hostname);
-      HARMONY_ASSERT_MSG(status.ok(), "posted node event failed");
-    });
-    return Status::Ok();
-  }
   auto status = run_on_domain<Status>(
-      domain, time, [&](Controller& c) { return apply(c, hostname); });
+      *domains_.at(owner), time, [&](Controller& c) {
+        return load ? c.report_external_load(hostname, value)
+                    : c.set_node_online(hostname, value != 0);
+      });
   if (status.ok()) record();
   return status;
 }
@@ -940,7 +820,6 @@ void DomainRouter::journal_router_event(ControllerEvent event, double time) {
 // --- merged introspection --------------------------------------------------
 
 std::vector<const Controller*> DomainRouter::domain_controllers() const {
-  for (size_t i = 0; i < workers_.size(); ++i) wait_idle(i);
   std::vector<const Controller*> out;
   out.reserve(domains_.size());
   for (const auto& [id, domain] : domains_) {
@@ -950,7 +829,6 @@ std::vector<const Controller*> DomainRouter::domain_controllers() const {
 }
 
 uint64_t DomainRouter::reconfigurations() const {
-  for (size_t i = 0; i < workers_.size(); ++i) wait_idle(i);
   uint64_t total = retired_reconfigurations_;
   for (const auto& [id, domain] : domains_) {
     total += domain->controller->reconfigurations();
@@ -960,7 +838,6 @@ uint64_t DomainRouter::reconfigurations() const {
 
 Result<std::vector<std::pair<InstanceId, double>>> DomainRouter::predictions()
     const {
-  for (size_t i = 0; i < workers_.size(); ++i) wait_idle(i);
   // Ascending first-instance-id order, so the first error reported
   // matches the instance order a global pass would hit it in.
   std::vector<const Domain*> ordered;

@@ -21,19 +21,16 @@
 // Topology of the implementation:
 //   DomainRouter   — the single-caller front end. Owns the membership
 //                    index (instance -> domain, node -> domain), the
-//                    master node state (external load, online flags),
-//                    the cluster definition, and the worker pool. All
-//                    public methods must be called from one thread (the
-//                    drain thread under the TCP server, the test body
-//                    in tests).
-//   domain op      — every blocking routed op runs on the router's
-//                    caller thread, against the domain's Controller
-//                    with the owner-thread binding held for the
-//                    duration of the op, after the domain's worker has
-//                    drained everything posted to it earlier.
-//   domain worker  — fixed pool of threads that run only *posted* ops
-//                    (post_external_load), each on
-//                    worker[domain.id % workers] in post order.
+//                    master node state (external load, online flags)
+//                    and the cluster definition. It starts no threads:
+//                    all public methods must be called from one thread
+//                    (the drain thread under the TCP server, the test
+//                    body in tests), except snapshot(), which reads a
+//                    mutex-guarded stats mirror from any thread.
+//   domain op      — every routed op runs on the router's caller
+//                    thread, against the domain's Controller with the
+//                    owner-thread binding held for the duration of the
+//                    op, one op at a time in call order.
 //   merge/split    — a registration whose footprint overlaps several
 //                    domains merges them (ascending domain id, lowest
 //                    id survives, absorbed instances move via the
@@ -41,10 +38,10 @@
 //                    domain splits it (the component holding the lowest
 //                    instance id keeps the domain id and its journal
 //                    sequence, the rest rebuild under fresh ids).
-//                    Both quiesce the involved workers first, so every
-//                    event queued before the membership change drains
-//                    against the old owner and every event after routes
-//                    to the new owner — nothing is ever dropped.
+//                    Every event before the membership change was
+//                    applied against the old owner and every event
+//                    after routes to the new owner — nothing is ever
+//                    dropped.
 //   journal        — per-domain sequence numbers layered on the shared
 //                    WAL: each event is tagged (domain, dseq) and
 //                    appended in commit order, so the file preserves a
@@ -54,15 +51,11 @@
 //                    owns are tagged domain 0.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/controller.h"
@@ -71,9 +64,8 @@
 namespace harmony::core {
 
 // Sink for domain-tagged journal records. persist::Persistence
-// implements this next to core::EventSink; methods are called from
-// domain worker threads and from the router thread and must be
-// internally synchronized.
+// implements this next to core::EventSink; methods are called on the
+// router's caller thread.
 class DomainJournal {
  public:
   virtual ~DomainJournal() = default;
@@ -85,10 +77,12 @@ class DomainJournal {
 struct DomainRouterConfig {
   // Template configuration applied to every per-domain controller.
   ControllerConfig controller;
-  // Worker threads. Domains are assigned round-robin by id.
-  int workers = 4;
+  // Ignored: the router starts no threads. Kept only because
+  // wirebench/ still assigns it; deleted together with those
+  // assignments by the next benchmark change.
+  int workers = 0;
   // Reference mode: disable partitioning, every instance lands in one
-  // domain on one worker — the old single-threaded decision path.
+  // domain — the single-controller decision path.
   bool single_domain = false;
 };
 
@@ -109,9 +103,8 @@ class DomainRouter {
   bool cluster_finalized() const;
   const cluster::Topology& topology() const;
 
-  // Sampled on the router thread at each operation; domain controllers
-  // observe the value sampled when their event was posted, so decision
-  // times are independent of worker scheduling.
+  // Sampled at each operation and installed in the owning domain's
+  // controller for the duration of that op.
   void set_time_source(std::function<double()> source);
 
   // Attach the domain-tagged journal sink. Must be called before the
@@ -123,10 +116,6 @@ class DomainRouter {
   Status unregister(InstanceId id);
   Status report_external_load(const std::string& hostname,
                               int concurrent_tasks);
-  // Fire-and-forget variant: validated and timestamped here, applied on
-  // the owning domain's worker. quiesce() to observe the result.
-  Status post_external_load(const std::string& hostname,
-                            int concurrent_tasks);
   Status set_node_online(const std::string& hostname, bool online);
   Status reevaluate();
   Status set_option(InstanceId id, const std::string& bundle,
@@ -137,14 +126,11 @@ class DomainRouter {
   // The handler is retained by the router and re-attached when the
   // instance's domain merges or splits (the new controller replays the
   // current configuration, like a RESUME). Called on the router's
-  // caller thread, or on a worker thread when a posted op reconfigures.
+  // caller thread.
   Status subscribe(InstanceId id, Controller::UpdateHandler handler);
   Result<std::string> get_variable(InstanceId id, const std::string& name);
 
-  // Blocks until every queued (posted) operation has been applied.
-  void quiesce();
-
-  // --- merged introspection (router thread, implicitly quiesces) ----------
+  // --- merged introspection (router thread) --------------------------------
   size_t domain_count() const { return domains_.size(); }
   // Live domain controllers ordered by domain id.
   std::vector<const Controller*> domain_controllers() const;
@@ -161,7 +147,6 @@ class DomainRouter {
   // --- wire/console introspection (any thread) -----------------------------
   struct DomainInfo {
     uint32_t id = 0;
-    size_t worker = 0;
     std::vector<std::string> members;  // instance paths
     size_t instances = 0;
     uint64_t epochs = 0;             // decision ops applied
@@ -178,13 +163,11 @@ class DomainRouter {
  private:
   struct Domain;
   class Tap;
-  struct Worker;
 
   // Creates a domain whose controller shares the template's finalized
   // topology and allocates pool/version state only over `scope` (the
   // domain footprint) — O(|scope|), never O(cluster).
-  Domain& create_domain(uint32_t id, size_t worker_hint,
-                        std::vector<cluster::NodeId> scope);
+  Domain& create_domain(uint32_t id, std::vector<cluster::NodeId> scope);
   // Reconciles exactly the `annexed` nodes (sorted) of the controller's
   // pool against the master node state, walking the master maps in
   // lockstep — O(|annexed| + master entries in range), independent of
@@ -204,24 +187,18 @@ class DomainRouter {
   void journal_router_event(ControllerEvent event, double time);
   // The one path for an input about a node (an external-load report or
   // an online flip, `value` = tasks or 1/0): validates it, applies it
-  // on the owning domain's worker (queued when `post`) or journals it
-  // at router level when no domain owns the node, and keeps the master
-  // node state in step.
+  // on the owning domain or journals it at router level when no domain
+  // owns the node, and keeps the master node state in step.
   Status node_event(ControllerEvent::Kind kind, const std::string& hostname,
-                    int value, bool post);
+                    int value);
   double sample_now();
-  // Runs `op` on the calling thread once the domain's worker has
-  // applied every earlier posted op, with the sampled time installed
+  // Runs `op` on the calling thread with the sampled time installed
   // and the controller's owner-thread binding held.
   template <typename R, typename Op>
   R run_on_domain(Domain& domain, double time, Op&& op);
-  // Queues `op` on the domain's worker (same prologue and epilogue).
-  void post_on_domain(Domain& domain, double time,
-                      std::function<void(Controller&)> op);
   // Epilogue of every domain op: per-domain epoch/latency
   // telemetry, trace span, and the stats mirror for snapshot().
   void note_op_applied(Domain& domain, uint64_t start_us);
-  void wait_idle(size_t worker) const;
 
   DomainRouterConfig config_;
   bool partitioned_ = false;  // false: every instance shares domain 1
@@ -255,8 +232,6 @@ class DomainRouter {
   uint64_t retired_reconfigurations_ = 0;
   uint64_t router_dseq_ = 0;  // journal stream for unowned-node events
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-
   // Stats mirror read by snapshot() from arbitrary threads.
   mutable std::mutex stats_mutex_;
   std::map<uint32_t, DomainInfo> info_;  // guarded by stats_mutex_
@@ -266,8 +241,12 @@ class DomainRouter {
 // console command: at most one router is published at a time; the
 // publisher must unpublish (or be destroyed) before the router dies.
 void publish_domain_router(DomainRouter* router);
-// Snapshot of the published router's domains; sets *published to false
-// and returns empty when none is published. Safe from any thread.
-std::vector<DomainRouter::DomainInfo> published_domains(bool* published);
+// The published router's domains as one RSL list, the reply body of the
+// {DOMAINS} wire verb and of the harmonyDomains console command: one row
+// per live domain,
+//   {<id> {<member>...} <epochs> <last_ms> {<passes> <moves> <improvement>}}
+// (solver fields all zero when the solver is disabled). Sets *published
+// to false and returns "" when none is published. Safe from any thread.
+std::string published_domains(bool* published);
 
 }  // namespace harmony::core

@@ -63,9 +63,10 @@ struct SolverStats {
   double last_budget_used_ms = 0;
 };
 
-// One solver instance per Optimizer (hence per DomainRouter worker —
+// One solver instance per Optimizer (hence per DomainRouter domain —
 // each domain's Controller owns a private Optimizer). Not thread-safe;
-// serialized by the owning worker like the optimizer itself.
+// serialized by the thread that drives its controller, like the
+// optimizer itself.
 class Solver {
  public:
   Solver(Optimizer& optimizer, const SolverConfig& config);

@@ -83,30 +83,12 @@ Message build_domains_reply(const Message& request) {
     return Message::err(ErrorCode::kProtocol, "DOMAINS expects no arguments");
   }
   bool published = false;
-  auto domains = core::published_domains(&published);
+  std::string rows = core::published_domains(&published);
   if (!published) {
     return Message::err(ErrorCode::kNotFound,
                         "no domain router in this server");
   }
-  std::vector<std::string> rows;
-  rows.reserve(domains.size());
-  for (const auto& domain : domains) {
-    rows.push_back(rsl::list_build(
-        {str_format("%u", domain.id),
-         str_format("%zu", domain.worker),
-         rsl::list_build(domain.members),
-         str_format("%llu", static_cast<unsigned long long>(domain.epochs)),
-         format_number(domain.last_decision_ms),
-         // Anytime-solver stats: {passes moves improvement}, all zero
-         // when the solver is disabled.
-         rsl::list_build(
-             {str_format("%llu",
-                         static_cast<unsigned long long>(domain.solver_passes)),
-              str_format("%llu",
-                         static_cast<unsigned long long>(domain.solver_moves)),
-              format_number(domain.solver_improvement)})}));
-  }
-  return Message::ok({rsl::list_build(rows)});
+  return Message::ok({std::move(rows)});
 }
 
 void publish_ha_status(const HaStatus& status) {

@@ -32,10 +32,13 @@
 //                                  by the owning I/O shard without
 //                                  touching the controller thread.
 //     {DOMAINS}                    optimization-domain introspection:
-//                                  one row per live domain — id, worker
-//                                  index, member instance paths, epoch
-//                                  count and last-decision latency.
-//                                  Answered shard-side like {METRICS}.
+//                                  one row per live domain — id, member
+//                                  instance paths, epoch count,
+//                                  last-decision latency and solver
+//                                  stats. Answered shard-side like
+//                                  {METRICS}. Rows carry 5 fields; the
+//                                  worker-index field (second of 6) is
+//                                  gone with the router's worker pool.
 //     {STATUS}                     replication role probe: {OK <role>
 //                                  <term> <generation> <primary_hint>}.
 //                                  Answered shard-side like {METRICS},
@@ -90,8 +93,9 @@ Message build_metrics_reply(const Message& request);
 // Builds the reply to a {DOMAINS} request from the process-global
 // published DomainRouter (core::published_domains). Thread-safe for the
 // same reason: the router keeps a mutex-guarded stats mirror, so shards
-// answer while domain workers are mid-decision. Replies
-//   {OK {{<id> <worker> {<member>...} <epochs> <last_ms>} ...}}
+// answer while the router's thread is mid-decision. Replies
+//   {OK {{<id> {<member>...} <epochs> <last_ms> {<passes> <moves>
+//   <improvement>}} ...}}
 // or kNotFound when no router is published (single-controller server).
 Message build_domains_reply(const Message& request);
 

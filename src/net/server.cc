@@ -75,7 +75,7 @@ class OwnerBind {
 };
 
 // Epoch batching is a single-controller concept; routed servers let
-// each domain op commit its own epoch on its worker.
+// each domain op commit its own epoch.
 class MaybeEpoch {
  public:
   explicit MaybeEpoch(core::Controller* controller) {
@@ -431,12 +431,11 @@ bool HarmonyTcpServer::should_defer_reply(const std::string& verb,
 
 Status HarmonyTcpServer::attach_updates(Connection& connection,
                                         core::InstanceId id) {
-  // Handlers fire wherever the decision is flushed: on the controller
-  // thread (at epoch close, or inside a routed op, which runs on the
-  // router's caller), or on a domain worker for a posted op. None of
-  // them may touch egress state mid-decision: they queue by connection
-  // id (the connection may die before the pump runs) and the
-  // controller thread pumps the queue into the normal send path.
+  // Handlers fire where the decision is flushed: on the controller
+  // thread, at epoch close or inside a routed op. None of them may
+  // touch egress state mid-decision: they queue by connection id (the
+  // connection may die before the pump runs) and the controller thread
+  // pumps the queue into the normal send path.
   const uint64_t conn_id = connection.id;
   core::Controller::UpdateHandler handler =
       [this, conn_id](const std::string& name, const std::string& value) {

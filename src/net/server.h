@@ -272,9 +272,11 @@ class HarmonyTcpServer {
   metric::Gauge* parked_gauge_;
   metric::Histogram* mailbox_wait_us_;
 
-  // Update handlers append here from whichever thread flushes the
-  // decision (the controller thread itself, or a domain worker running
-  // a posted op); the controller thread pumps into send().
+  // Update handlers append here when a decision is flushed (on the
+  // controller thread, at epoch close or inside a routed op); the
+  // controller thread pumps into send(). In the server both ends run on
+  // that one thread, so the lock is uncontended; it keeps the queue safe
+  // for an embedder that drives the core from a thread of its own.
   std::mutex updates_mutex_;
   std::vector<PendingUpdate> pending_updates_;  // guarded by updates_mutex_
   std::vector<PendingUpdate> update_batch_;  // controller thread only

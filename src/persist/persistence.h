@@ -88,10 +88,10 @@ using SessionMap = std::map<std::string, std::vector<core::InstanceId>>;
 // journal mutex immediately after a successful commit with exactly the
 // bytes that landed in the file (framed records, so a standby can
 // append them to its own journal verbatim); on_compaction fires after a
-// snapshot truncated the journal and bumped the generation. Callers may
-// be the controller thread or — in routed mode — any domain worker, so
-// implementations must be internally synchronized and must never call
-// back into Persistence.
+// snapshot truncated the journal and bumped the generation. Callers are
+// the thread that commits — in a server, the one driving the decision
+// core (controller or router). Implementations must never call back
+// into Persistence.
 class ReplicationTap {
  public:
   virtual ~ReplicationTap() = default;
@@ -109,15 +109,15 @@ struct ReplicationPosition {
 
 // Partitioned (DomainRouter) operation: the router's scratch controller
 // never hosts instances — it carries the cluster definition for the
-// baseline snapshot — and events arrive domain-tagged from worker
-// threads through the core::DomainJournal interface, serialized by an
-// internal mutex. Per-domain sequence numbers are validated gap-free at
-// recovery; the file itself keeps the merged commit order, which is a
-// valid replay order for the single recovery controller because
-// domains are disjoint and the objective separable (core_domain_test
-// holds the proof obligation). Partitioned journaling requires
-// snapshot_every_epochs == 0: mid-run compaction would serialize the
-// scratch controller, which never sees the instances.
+// baseline snapshot — and events arrive domain-tagged on the router's
+// thread through the core::DomainJournal interface. Per-domain sequence
+// numbers are validated gap-free at recovery; the file itself keeps the
+// merged commit order, which is a valid replay order for the single
+// recovery controller because domains are disjoint and the objective
+// separable (core_domain_test holds the proof obligation). Partitioned
+// journaling requires snapshot_every_epochs == 0: mid-run compaction
+// would serialize the scratch controller, which never sees the
+// instances.
 class Persistence final : public core::EventSink, public core::DomainJournal {
  public:
   // Opens the persistence directory. When prior state exists the
@@ -148,7 +148,7 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   void on_controller_event(const core::ControllerEvent& event) override;
   void on_epoch_commit() override;
 
-  // --- core::DomainJournal (worker threads; internally serialized) --------
+  // --- core::DomainJournal (router thread) ---------------------------------
   void on_domain_event(uint32_t domain, uint64_t dseq,
                        const core::ControllerEvent& event) override;
   void on_domain_epoch_commit(uint32_t domain) override;
@@ -248,11 +248,10 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
 
   PersistConfig config_;
   core::Controller* controller_;
-  // Serializes every append/commit entry point: domain workers call in
-  // concurrently through DomainJournal, and the drain thread's session
-  // records and flushes interleave with them. The single-controller
-  // EventSink path takes it too — uncontended there, and it keeps one
-  // discipline for both modes.
+  // Serializes every append/commit entry point and the readers of the
+  // journal state (generation, replication_position, io_status), which
+  // other threads call — a standby's replicator thread applies streamed
+  // bytes while the node's own thread reads them.
   std::mutex journal_mutex_;
   Journal journal_;
   SessionMap sessions_;

@@ -11,8 +11,9 @@ namespace harmony::rsl {
 
 namespace {
 
-// Bumped from domain worker threads concurrently once the decision core
-// is partitioned; relaxed ordering is fine for a monotonic stats counter.
+// Process-wide, bumped by every thread that evaluates expressions (each
+// server, test or bench thread driving a core); relaxed ordering is fine
+// for a monotonic stats counter.
 std::atomic<uint64_t> g_expr_evaluations{0};
 
 // Compile-time value: mirrors the tree-walk evaluator's EValue so the

@@ -244,9 +244,9 @@ TEST(Topology, PathIndexMatchesWidestPathSearch) {
   }
 }
 
-// Domain workers share one finalized topology. Readers released
-// together race to the first query's build; all must see the same,
-// complete index.
+// The lazily built path index is safe to share across threads. Readers
+// released together race to the first query's build; all must see the
+// same, complete index.
 TEST(Topology, ConcurrentReadersShareOneIndex) {
   constexpr NodeId n = 2000;
   constexpr int kReaders = 4;

@@ -179,10 +179,10 @@ TEST_F(ConsoleTest, DomainsCommand) {
   auto rows = rsl::list_parse(eval("harmonyDomains")).value();
   ASSERT_EQ(rows.size(), 1u);
   auto fields = rsl::list_parse(rows[0]).value();
-  // {id worker {members} epochs last_ms {passes moves improvement}}
-  ASSERT_EQ(fields.size(), 6u);
+  // {id {members} epochs last_ms {passes moves improvement}}
+  ASSERT_EQ(fields.size(), 5u);
   EXPECT_EQ(fields[0], "1");
-  EXPECT_EQ(fields[2], "DBclient.1");
+  EXPECT_EQ(fields[1], "DBclient.1");
   publish_domain_router(nullptr);
 }
 

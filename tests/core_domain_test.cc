@@ -15,11 +15,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/strings.h"
 #include "core/controller.h"
 #include "core/domain.h"
 #include "metric/telemetry.h"
@@ -39,16 +39,15 @@ struct DiffHarness {
   DomainRouter router;
   Controller reference;
 
-  explicit DiffHarness(int workers, bool single_domain = false)
-      : router(make_config(workers, single_domain)) {
+  explicit DiffHarness(bool single_domain = false)
+      : router(make_config(single_domain)) {
     auto source = [clock = clock] { return *clock; };
     router.set_time_source(source);
     reference.set_time_source(source);
   }
 
-  static DomainRouterConfig make_config(int workers, bool single_domain) {
+  static DomainRouterConfig make_config(bool single_domain) {
     DomainRouterConfig config;
-    config.workers = workers;
     config.single_domain = single_domain;
     return config;
   }
@@ -119,7 +118,7 @@ struct DiffHarness {
 
 TEST(DomainDifferentialTest, IndependentDomainsMatchReference) {
   const std::vector<std::string> groups = {"ga", "gb", "gc", "gd"};
-  DiffHarness h(/*workers=*/3);
+  DiffHarness h;
   h.init(grouped_cluster_script(groups, 3));
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_TRUE(h.router.partitioned());
@@ -154,7 +153,7 @@ TEST(DomainDifferentialTest, IndependentDomainsMatchReference) {
 }
 
 TEST(DomainDifferentialTest, SingleDomainModeIsTheReferencePath) {
-  DiffHarness h(/*workers=*/2, /*single_domain=*/true);
+  DiffHarness h(/*single_domain=*/true);
   h.init(grouped_cluster_script({"ga", "gb"}, 3));
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_FALSE(h.router.partitioned());
@@ -167,7 +166,7 @@ TEST(DomainDifferentialTest, SingleDomainModeIsTheReferencePath) {
 }
 
 TEST(DomainDifferentialTest, NonSeparableObjectiveCollapsesToOneDomain) {
-  DiffHarness h(/*workers=*/2);
+  DiffHarness h;
   // Makespan couples every instance's predicted time; the router must
   // refuse to partition.
   DomainRouterConfig config;
@@ -177,7 +176,7 @@ TEST(DomainDifferentialTest, NonSeparableObjectiveCollapsesToOneDomain) {
 }
 
 TEST(DomainDifferentialTest, MergeAndSplitMidRun) {
-  DiffHarness h(/*workers=*/2);
+  DiffHarness h;
   h.init(grouped_cluster_script({"ga", "gb"}, 3));
   if (::testing::Test::HasFatalFailure()) return;
 
@@ -216,13 +215,13 @@ TEST(DomainDifferentialTest, MergeAndSplitMidRun) {
 }
 
 TEST(DomainDifferentialTest, UnownedNodeEventsReachLaterDomains) {
-  DiffHarness h(/*workers=*/2);
+  DiffHarness h;
   h.init(grouped_cluster_script({"ga", "gz"}, 3));
   if (::testing::Test::HasFatalFailure()) return;
 
   h.reg(pinned_group_bundle("ga", 1));
   // gz has no instances: these land in the router's master node state
-  // (and its domain-0 journal stream), not in any worker.
+  // (and its domain-0 journal stream), not in any domain.
   h.load("gz-00", 3);
   h.toggle("gz-01", false);
   h.reevaluate();
@@ -237,73 +236,44 @@ TEST(DomainDifferentialTest, UnownedNodeEventsReachLaterDomains) {
   h.reevaluate();
 }
 
-// Posted reports ride the worker queue while blocking ops run on the
-// caller thread: every blocking op must first see everything posted
-// before it. Each round posts a burst of load reports on both groups'
-// hosts, then immediately reads each domain's placement (and every
-// other round re-evaluates); a single-domain reference fed the same
-// reports synchronously must agree on every read and every fingerprint.
-TEST(DomainOrderingTest, BlockingOpsSeeEveryEarlierPost) {
-  const std::vector<std::string> groups = {"ga", "gb"};
-  const std::string cluster = grouped_cluster_script(groups, 3);
-  auto clock = std::make_shared<double>(0.0);
-  auto source = [clock] { return *clock; };
-  DomainRouterConfig config;
-  config.workers = 2;
-  DomainRouter router(config);
-  DomainRouterConfig reference_config;
-  reference_config.single_domain = true;
-  DomainRouter reference(reference_config);
-  for (DomainRouter* r : {&router, &reference}) {
-    r->set_time_source(source);
-    ASSERT_TRUE(r->add_nodes_script(cluster).ok());
-    ASSERT_TRUE(r->finalize_cluster().ok());
+// The router is a sequential decision process on its caller's thread:
+// building one, and every op kind it routes (registrations, a bridge
+// merge, a splitting departure, node events, a re-evaluation) plus the
+// merged introspection, must start no thread.
+size_t thread_count() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
   }
-  std::vector<InstanceId> firsts;
-  int tag = 1;
-  for (const auto& group : groups) {
-    for (int i = 0; i < 2; ++i) {
-      *clock += 10;
-      auto a = router.register_script(pinned_group_bundle(group, tag));
-      auto b = reference.register_script(pinned_group_bundle(group, tag));
-      ++tag;
-      ASSERT_TRUE(a.ok() && b.ok());
-      ASSERT_EQ(a.value(), b.value());
-      if (i == 0) firsts.push_back(a.value());
-    }
-  }
-  ASSERT_EQ(router.domain_count(), groups.size());
+  return count;
+}
 
-  for (int round = 0; round < 40; ++round) {
-    for (const auto& group : groups) {
-      for (int node = 0; node < 3; ++node) {
-        const std::string host = str_format("%s-%02d", group.c_str(), node);
-        const int tasks = (round + 2 * node) % 4;
-        *clock += 1;
-        ASSERT_TRUE(router.post_external_load(host, tasks).ok());
-        ASSERT_TRUE(reference.report_external_load(host, tasks).ok());
-      }
-    }
-    for (size_t g = 0; g < groups.size(); ++g) {
-      *clock += 1;
-      if (round % 2 == 1) {
-        ASSERT_TRUE(router.reevaluate().ok());
-        ASSERT_TRUE(reference.reevaluate().ok());
-      }
-      auto option = reference.get_variable(firsts[g], "layout.option");
-      ASSERT_TRUE(option.ok());
-      for (const std::string& name :
-           {std::string("layout.option"), std::string("layout.switched"),
-            "layout." + option.value() + ".worker.node"}) {
-        auto a = router.get_variable(firsts[g], name);
-        auto b = reference.get_variable(firsts[g], name);
-        ASSERT_TRUE(a.ok() && b.ok()) << name;
-        EXPECT_EQ(a.value(), b.value()) << "round " << round << " " << name;
-      }
-    }
-    EXPECT_EQ(fingerprint(router), fingerprint(reference)) << "round "
-                                                           << round;
+TEST(DomainThreadingTest, RouterStartsNoThreads) {
+  const size_t before = thread_count();
+  {
+    DomainRouter router;
+    ASSERT_TRUE(
+        router.add_nodes_script(grouped_cluster_script({"ga", "gb"}, 3)).ok());
+    ASSERT_TRUE(router.finalize_cluster().ok());
+    ASSERT_TRUE(router.register_script(pinned_group_bundle("ga", 1)).ok());
+    ASSERT_TRUE(router.register_script(pinned_group_bundle("gb", 2)).ok());
+    auto bridge = router.register_script(bridge_bundle("ga", "gb", 3));
+    ASSERT_TRUE(bridge.ok());
+    EXPECT_EQ(router.domain_count(), 1u);
+    ASSERT_TRUE(router.unregister(bridge.value()).ok());
+    EXPECT_EQ(router.domain_count(), 2u);
+    ASSERT_TRUE(router.report_external_load("ga-01", 2).ok());
+    ASSERT_TRUE(router.set_node_online("gb-01", false).ok());
+    ASSERT_TRUE(router.reevaluate().ok());
+    EXPECT_EQ(router.domain_controllers().size(), 2u);
+    router.reconfigurations();
+    EXPECT_TRUE(router.predictions().ok());
+    EXPECT_TRUE(router.objective_value().ok());
+    EXPECT_EQ(router.snapshot().size(), 2u);
+    EXPECT_EQ(thread_count(), before);
   }
+  EXPECT_EQ(thread_count(), before);
 }
 
 // Per-domain series live exactly as long as their domain: apps that
@@ -332,9 +302,7 @@ TEST(DomainTelemetryTest, RetiredDomainsLeaveTheScrape) {
   ASSERT_TRUE(reference.finalize_cluster().ok());
   ASSERT_TRUE(reference.register_script(pinned_group_bundle("ga", 1)).ok());
 
-  DomainRouterConfig config;
-  config.workers = 2;
-  DomainRouter router(config);
+  DomainRouter router;
   ASSERT_TRUE(router.add_nodes_script(cluster).ok());
   ASSERT_TRUE(router.finalize_cluster().ok());
   // One resident app keeps one domain alive throughout.
@@ -427,9 +395,7 @@ void child_apply_step(DomainRouter& r, int s) {
   if (!opened.ok()) std::abort();
   auto persistence = std::move(opened).value();
 
-  DomainRouterConfig router_config;
-  router_config.workers = 2;
-  DomainRouter router(router_config);
+  DomainRouter router;
   router.set_time_source([&clock] { return clock; });
   if (!router.add_nodes_script(cluster).ok()) std::abort();
   if (!router.finalize_cluster().ok()) std::abort();
@@ -505,7 +471,7 @@ class DomainCrashTest : public ::testing::Test {
 
   // Recovery replays the merged, domain-tagged journal into one plain
   // controller: decision identity makes that equivalent to re-running
-  // every domain, and the per-domain sequence check proves no worker's
+  // every domain, and the per-domain sequence check proves no domain's
   // stream lost or reordered an event.
   std::string recover_fingerprint() {
     Controller recovered;

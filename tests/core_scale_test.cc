@@ -57,9 +57,7 @@ TEST(ScaleDifferential, FiveThousandNodesBitIdenticalToSingleDomain) {
   const std::string cluster = swarm_cluster_script(config);
   const int active_groups = 24;
 
-  DomainRouterConfig partitioned_config;
-  partitioned_config.workers = 2;
-  DomainRouter router(partitioned_config);
+  DomainRouter router;
   DomainRouterConfig reference_config;
   reference_config.single_domain = true;
   DomainRouter reference(reference_config);
@@ -146,9 +144,7 @@ TEST(ScopedDomain, CreationDoesNoPerClusterWork) {
   // cluster node again, the deltas below explode from O(9) to O(4104).
   SwarmConfig config;
   config.groups = 456;
-  DomainRouterConfig router_config;
-  router_config.workers = 2;
-  DomainRouter router(router_config);
+  DomainRouter router;
   ASSERT_TRUE(router.add_nodes_script(swarm_cluster_script(config)).ok());
   ASSERT_TRUE(router.finalize_cluster().ok());
 

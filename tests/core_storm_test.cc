@@ -188,14 +188,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StormTest,
                          ::testing::Values(1, 42, 1999, 20260707));
 
 // --- partitioned decision core under storm ----------------------------------
-// Regression for DEPART/REGISTER races across domain splits and merges:
-// bursts of *asynchronous* load posts are left in flight while bridge
-// registrations merge domains and departures split them. The membership
-// change must first drain every queued event against its old owner and
-// route later events to the new owner — an event that is dropped or
-// applied against the wrong controller shows up as a fingerprint
-// divergence from the synchronous reference, or as nondeterminism
-// between two identical runs.
+// Regression for DEPART/REGISTER sequences across domain splits and
+// merges: bursts of load reports land between bridge registrations that
+// merge domains and departures that split them. Every event before a
+// membership change must apply against its old owner and every later
+// event against the new owner — an event that is dropped or applied
+// against the wrong controller shows up as a fingerprint divergence
+// from the single-controller reference, or as nondeterminism between
+// two identical runs.
 
 class DomainStormTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -209,9 +209,7 @@ std::string run_domain_storm(uint64_t seed) {
   const int per_group = 3;
   const std::string cluster = grouped_cluster_script(groups, per_group);
 
-  DomainRouterConfig router_config;
-  router_config.workers = 2;
-  DomainRouter router(router_config);
+  DomainRouter router;
   Controller reference;
   double now = 0;
   auto source = [&now] { return now; };
@@ -248,8 +246,8 @@ std::string run_domain_storm(uint64_t seed) {
         live.push_back(a.value());
       }
     } else if (dice < 0.42) {
-      // Bridge arrival — merges two groups' domains, with any posted
-      // loads from earlier this round possibly still queued.
+      // Bridge arrival — merges two groups' domains, which may have
+      // seen load reports since their last decision.
       const size_t first = rng.next_below(groups.size());
       const size_t second = (first + 1 + rng.next_below(groups.size() - 1)) %
                             groups.size();
@@ -270,14 +268,13 @@ std::string run_domain_storm(uint64_t seed) {
       EXPECT_TRUE(router.unregister(id).ok());
       EXPECT_TRUE(reference.unregister(id).ok());
     } else if (dice < 0.80) {
-      // Burst of asynchronous posts, deliberately not quiesced: they
-      // ride the worker queues into whatever membership change comes
-      // next. The reference applies the same values synchronously.
+      // Burst of load reports ahead of whatever membership change comes
+      // next. The reference applies the same values.
       const int burst = 1 + static_cast<int>(rng.next_below(3));
       for (int i = 0; i < burst; ++i) {
         const std::string host = host_at(rng.next_below(hosts));
         const int tasks = static_cast<int>(rng.next_below(4));
-        EXPECT_TRUE(router.post_external_load(host, tasks).ok());
+        EXPECT_TRUE(router.report_external_load(host, tasks).ok());
         EXPECT_TRUE(reference.report_external_load(host, tasks).ok());
       }
     } else if (dice < 0.88) {
@@ -296,8 +293,8 @@ std::string run_domain_storm(uint64_t seed) {
       EXPECT_TRUE(reference.reevaluate().ok());
     }
 
-    // Periodic identity check (implicitly quiesces the workers) plus
-    // the exact accounting invariants on every domain controller.
+    // Periodic identity check plus the exact accounting invariants on
+    // every domain controller.
     if (step % 7 == 6) {
       EXPECT_EQ(fingerprint(router), fingerprint(reference))
           << "step " << step;
@@ -325,7 +322,7 @@ TEST_P(DomainStormTest, SplitMergeRacesStayDeterministic) {
   const std::string first = run_domain_storm(GetParam());
   if (::testing::Test::HasFatalFailure()) return;
   // Same seed, same history: the partitioned run must be a pure
-  // function of its input sequence, independent of worker scheduling.
+  // function of its input sequence.
   EXPECT_EQ(run_domain_storm(GetParam()), first);
 }
 

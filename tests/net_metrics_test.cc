@@ -113,7 +113,6 @@ class MetricsTest : public ::testing::Test {
   // every pinned swarm bundle lands in its own optimization domain.
   void start_router_server(ServerConfig config) {
     core::DomainRouterConfig router_config;
-    router_config.workers = 2;
     router_config.controller.optimizer.initial_policy =
         core::OptimizerConfig::InitialPolicy::kFirstFeasible;
     router_config.controller.optimizer.reevaluate_on_arrival = false;
@@ -366,13 +365,13 @@ TEST_F(MetricsTest, DomainsVerbExposesPartitionedCore) {
   for (const std::string& row : rows.value()) {
     auto fields = rsl::list_parse(row);
     ASSERT_TRUE(fields.ok());
-    // {id worker {members} epochs last_ms {passes moves improvement}}
-    ASSERT_EQ(fields.value().size(), 6u);
-    EXPECT_NE(fields.value()[2].find("Swarm."), std::string::npos);
+    // {id {members} epochs last_ms {passes moves improvement}}
+    ASSERT_EQ(fields.value().size(), 5u);
+    EXPECT_NE(fields.value()[1].find("Swarm."), std::string::npos);
     long long epochs = 0;
-    ASSERT_TRUE(parse_int64(fields.value()[3], &epochs));
+    ASSERT_TRUE(parse_int64(fields.value()[2], &epochs));
     EXPECT_GE(epochs, 1);  // at least the registration decision
-    auto solver = rsl::list_parse(fields.value()[5]);
+    auto solver = rsl::list_parse(fields.value()[4]);
     ASSERT_TRUE(solver.ok());
     ASSERT_EQ(solver.value().size(), 3u);
     long long passes = -1;

@@ -134,14 +134,12 @@ TEST_F(ServerTest, ThreeClientsTriggerSwitchOverTcp) {
 }
 
 // The same server over a partitioned decision core: updates fire on
-// domain worker threads and reach other connections through the
-// server's queue and the I/O shards.
+// the server's thread inside routed ops and reach other connections
+// through the server's queue and the I/O shards.
 class RoutedServerTest : public ServerTest {
  protected:
   void SetUp() override {
-    core::DomainRouterConfig config;
-    config.workers = 2;
-    router_ = std::make_unique<core::DomainRouter>(config);
+    router_ = std::make_unique<core::DomainRouter>();
     ASSERT_TRUE(router_->add_nodes_script(apps::db_cluster_script(3)).ok());
     ASSERT_TRUE(router_->finalize_cluster().ok());
     start(std::make_unique<HarmonyTcpServer>(router_.get(), 0));

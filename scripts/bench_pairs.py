@@ -30,7 +30,11 @@ won, and the verdict:
 
 Runs that were invalid or incorrect (a failed request makes a run
 incorrect) are listed and left out of their pair; each side's failed
-requests are totalled. Exit status 1 when any metric is worse.
+requests are totalled. Below the table every valid run's attempted
+request count is printed, and runs that attempted under half the
+workload's median are marked: such a run stopped early and its
+metrics describe a lighter load. Exit status 1 when any metric is
+worse.
 """
 
 import argparse
@@ -131,7 +135,32 @@ def report(records, bench_path):
             print(f"  {name:24s} {base_med:10.4g} [{b1:.4g}, {b3:.4g}]"
                   f"{'':>2s} {cand_med:10.4g} [{c1:.4g}, {c3:.4g}]"
                   f"{'':>2s} {wins:3d}/{len(pairs):<3d}  {verdict}")
+        print_attempted(runs)
     return 1 if worse_any else 0
+
+
+def print_attempted(runs):
+    """Prints each valid run's attempted request count, per side, in pair
+    order. A run that attempted under half the workload's median stopped
+    early (say, at the first rung of a load ladder); it is marked `*`,
+    since its metrics describe a different offered load."""
+    valid = [r for r in runs if r.get("valid")]
+    if not valid:
+        return
+    median = statistics.median(r.get("attempted", 0) for r in valid)
+    short = 0
+    for side in ("parent", "change"):
+        cells = []
+        for r in sorted((r for r in valid if r["side"] == side),
+                        key=lambda r: r["pair"]):
+            attempted = r.get("attempted", 0)
+            mark = "*" if attempted < median / 2 else ""
+            short += 1 if mark else 0
+            cells.append(f"{r['pair']}:{attempted}{mark}")
+        print(f"  attempted, {side} (pair:count): {' '.join(cells)}")
+    if short:
+        print(f"  * {short} run(s) attempted under half the median "
+              f"({median:.0f}): they stopped early")
 
 
 def main():

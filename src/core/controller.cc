@@ -607,12 +607,12 @@ Status Controller::subscribe(InstanceId id, UpdateHandler handler) {
   EpochScope epoch(*this);
   subscribers_[id] = std::move(handler);
   // Send the instance its current configuration immediately so late
-  // subscribers do not miss the arrival decision. Anything still queued
-  // from before the subscription (the arrival decision, or decisions
-  // replayed from the journal while no subscriber existed) is
-  // superseded by this replay — dropping it is what guarantees a
-  // resumed client observes only the latest configuration, never an
-  // intermediate one.
+  // subscribers do not miss the arrival decision. Nothing was queued
+  // while no live handler existed (see queue_updates); anything queued
+  // for a previous handler is superseded by this replay — dropping it
+  // is what guarantees a resumed client observes only the latest
+  // configuration, never an intermediate one. A parked (empty) handler
+  // gets no replay: queue_updates skips it.
   pending_vars_[id].clear();
   const InstanceState* instance = state_.find_instance(id);
   std::vector<Decision> synthetic;
@@ -632,35 +632,33 @@ void Controller::flush_pending_vars() {
   // Only instances with something queued are visited: the flush runs at
   // the close of every epoch (every network message under the TCP
   // server), so it must not scale with the number of live instances.
+  // Every queue belongs to a subscribed instance (queue_updates queues
+  // nothing else), so each visit delivers or drops, and nothing stays
+  // behind for a later flush to rescan.
   // Deterministic delivery order: instance id, then queue order.
   std::vector<InstanceId> dirty;
   dirty.swap(pending_dirty_);
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  std::vector<InstanceId> undelivered;
   for (InstanceId id : dirty) {
     auto queued = pending_vars_.find(id);
     if (queued == pending_vars_.end() || queued->second.empty()) continue;
     auto& updates = queued->second;
+    // subscribe() clears the queue whenever it (re)binds or parks a
+    // handler, so the handler found here is the one the updates were
+    // queued for.
     auto handler = subscribers_.find(id);
-    if (handler == subscribers_.end()) {
-      // No subscriber yet (the arrival decision precedes the client
-      // library's subscribe): keep the updates queued.
-      undelivered.push_back(id);
-      continue;
+    if (handler != subscribers_.end() && handler->second) {
+      for (const auto& [name, value] : updates) handler->second(name, value);
     }
-    if (!handler->second) {
-      // Empty handler = subscription parked (the TCP server keeps the
-      // slot while a resumable client is disconnected). Intermediate
-      // values are dropped; resume replays the current configuration.
-      updates.clear();
-      continue;
-    }
-    for (const auto& [name, value] : updates) handler->second(name, value);
     updates.clear();
   }
-  pending_dirty_.insert(pending_dirty_.end(), undelivered.begin(),
-                        undelivered.end());
+}
+
+size_t Controller::queued_update_count() const {
+  size_t count = 0;
+  for (const auto& [id, updates] : pending_vars_) count += updates.size();
+  return count;
 }
 
 Result<std::string> Controller::get_variable(InstanceId id,
@@ -733,6 +731,13 @@ void Controller::publish_instance(const InstanceState& instance) {
 
 void Controller::queue_updates(const InstanceState& instance,
                                const std::vector<Decision>& decisions) {
+  // Only a live subscription can ever receive an update. Without one
+  // (the arrival decision precedes the client library's subscribe; a
+  // standby has no clients at all) or with a parked one (empty handler)
+  // the updates would be superseded unread: subscribe() replays the
+  // current configuration, so nothing is lost by not building them.
+  auto handler = subscribers_.find(instance.id);
+  if (handler == subscribers_.end() || !handler->second) return;
   for (const auto& decision : decisions) {
     if (decision.instance != instance.id || !decision.changed) continue;
     const BundleState* bundle = instance.find_bundle(decision.bundle);

@@ -217,9 +217,17 @@ class Controller {
   // --- variables (harmony_add_variable / harmony_wait_for_update) --------
   using UpdateHandler = std::function<void(const std::string& name,
                                            const std::string& value)>;
+  // Binds (or, with an empty handler, parks) the instance's subscription
+  // and queues a replay of its current configuration for a live handler.
   Status subscribe(InstanceId id, UpdateHandler handler);
-  // Delivers buffered updates to subscribers (flushPendingVars()).
+  // Delivers buffered updates to subscribers (flushPendingVars()). Only
+  // instances with a live handler ever have updates buffered: decisions
+  // about an instance nobody subscribed to (yet) queue nothing, so a
+  // controller without clients — a standby — buffers nothing at all.
   void flush_pending_vars();
+  // Variable updates buffered for the next flush, over all instances
+  // (0 between epochs).
+  size_t queued_update_count() const;
   // Pull-style read of a published variable ("<bundle>" -> option name,
   // "<bundle>.<var>" -> value, "<bundle>.<role>.node" -> hostname).
   Result<std::string> get_variable(InstanceId id,
@@ -349,6 +357,7 @@ class Controller {
   std::vector<PendingLink> pending_links_;
 
   std::map<InstanceId, UpdateHandler> subscribers_;
+  // Updates buffered for subscribed instances until the epoch closes.
   std::map<InstanceId, std::vector<std::pair<std::string, std::string>>>
       pending_vars_;
   // Instances with a non-empty pending queue (plus at most a few stale

@@ -50,8 +50,7 @@ class SolverPass {
  public:
   SolverPass(Optimizer& opt, const SolverConfig& config, SolverStats& stats,
              SystemState& state, double now, uint64_t seed,
-             std::chrono::steady_clock::time_point deadline,
-             const std::vector<std::vector<Solver::Previous>>& previous)
+             std::chrono::steady_clock::time_point deadline)
       : opt_(opt),
         config_(config),
         stats_(stats),
@@ -782,8 +781,7 @@ Status Solver::improve(SystemState& state, double now,
   mixed *= 0x94d049bb133111ebULL;
   mixed ^= mixed >> 31;
   {
-    SolverPass pass(opt_, config_, stats_, state, now, mixed, deadline,
-                    previous);
+    SolverPass pass(opt_, config_, stats_, state, now, mixed, deadline);
     auto status = pass.run(previous, decisions, &improvement, &improvement_bp,
                            &budget_exhausted, &rounds);
     if (!status.ok()) return status;

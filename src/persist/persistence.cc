@@ -975,6 +975,29 @@ ReplicationPosition Persistence::replication_position() {
   return ReplicationPosition{generation_, journal_live_bytes_};
 }
 
+Status Persistence::check_stream_generation(const std::string& payload) const {
+  if (payload.compare(0, 3, "GEN") != 0) return Status::Ok();
+  auto fields = list_parse(payload);
+  if (!fields.ok() || fields->empty() || (*fields)[0] != "GEN") {
+    return Status::Ok();  // not a GEN record; applying it will judge it
+  }
+  // The primary's journal opens with the generation it extends; a
+  // mismatch means this standby's snapshot diverged from the stream
+  // (it needs a full resync, which the replicator drives). Checked
+  // before the record is journaled: a stale tail must never land.
+  uint64_t generation = 0;
+  if (fields->size() != 2 || !parse_u64((*fields)[1], &generation)) {
+    return corrupt("bad replicated GEN record: " + payload);
+  }
+  if (generation != generation_) {
+    return corrupt(str_format(
+        "replicated journal opens generation %llu but standby is at %llu",
+        static_cast<unsigned long long>(generation),
+        static_cast<unsigned long long>(generation_)));
+  }
+  return Status::Ok();
+}
+
 Status Persistence::apply_stream_record(const std::string& payload) {
   auto fields_or = list_parse(payload);
   if (!fields_or.ok() || fields_or->empty()) {
@@ -982,22 +1005,7 @@ Status Persistence::apply_stream_record(const std::string& payload) {
   }
   const std::vector<std::string>& fields = *fields_or;
   const std::string& tag = fields[0];
-  if (tag == "GEN") {
-    // The primary's journal opens with the generation it extends; a
-    // mismatch means this standby's snapshot diverged from the stream
-    // (it needs a full resync, which the replicator drives).
-    uint64_t generation = 0;
-    if (fields.size() != 2 || !parse_u64(fields[1], &generation)) {
-      return corrupt("bad replicated GEN record: " + payload);
-    }
-    if (generation != generation_) {
-      return corrupt(str_format(
-          "replicated journal opens generation %llu but standby is at %llu",
-          static_cast<unsigned long long>(generation),
-          static_cast<unsigned long long>(generation_)));
-    }
-    return Status::Ok();
-  }
+  if (tag == "GEN") return Status::Ok();  // checked when it was journaled
   if (tag == "SESSION") return apply_session_record(fields);
   if (tag == "EV") return replay_event(fields);
   if (tag == "EVD") return apply_evd_record(payload, fields);
@@ -1006,13 +1014,21 @@ Status Persistence::apply_stream_record(const std::string& payload) {
 
 Status Persistence::apply_replicated(std::string_view bytes,
                                      uint64_t* applied_records) {
-  std::lock_guard<std::mutex> lock(journal_mutex_);
-  HARMONY_ASSERT_MSG(standby_, "apply_replicated on a primary");
   if (applied_records != nullptr) *applied_records = 0;
+  Status journaled = journal_replicated(bytes, nullptr);
+  if (!journaled.ok()) return journaled;
+  return apply_journaled(applied_records);
+}
+
+Status Persistence::journal_replicated(std::string_view bytes,
+                                       uint64_t* journaled_records) {
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  HARMONY_ASSERT_MSG(standby_, "journal_replicated on a primary");
+  if (journaled_records != nullptr) *journaled_records = 0;
   if (!last_error_.ok()) return last_error_;
   stream_buffer_.append(bytes);
 
-  uint64_t applied = 0;
+  uint64_t journaled = 0;
   size_t offset = 0;
   Status status = Status::Ok();
   while (stream_buffer_.size() - offset >= kRecordHeaderBytes) {
@@ -1027,31 +1043,58 @@ Status Persistence::apply_replicated(std::string_view bytes,
     if (stream_buffer_.size() - offset - kRecordHeaderBytes < length) {
       break;  // torn tail: the rest arrives with the next batch
     }
-    const std::string payload =
+    std::string payload =
         stream_buffer_.substr(offset + kRecordHeaderBytes, length);
     if (crc32c(payload) != expected_crc) {
       status = corrupt("replicated record failed its checksum");
       break;
     }
-    status = apply_stream_record(payload);
+    status = check_stream_generation(payload);
     if (!status.ok()) break;
     // Mirror the framed bytes verbatim: the standby's journal file is
-    // byte-identical to the primary's at every applied offset, so its
+    // byte-identical to the primary's at every journaled offset, so its
     // own recovery and its stream position need no translation.
     journal_.append_raw(std::string_view(stream_buffer_)
                             .substr(offset, kRecordHeaderBytes + length));
+    staged_records_.push_back(std::move(payload));
     offset += kRecordHeaderBytes + length;
-    ++applied;
+    ++journaled;
     // The GEN header lands through append_raw, so the stamp that
     // append_journal would have written is already present.
     gen_stamped_ = true;
   }
   stream_buffer_.erase(0, offset);
-  if (applied_records != nullptr) *applied_records = applied;
-  if (status.ok() && applied > 0) {
+  if (status.ok() && journaled > 0) {
     status = commit_pending_locked(/*sync=*/false);
   }
-  if (!status.ok() && last_error_.ok()) last_error_ = status;
+  if (!status.ok()) {
+    if (last_error_.ok()) last_error_ = status;
+    return status;
+  }
+  if (journaled_records != nullptr) *journaled_records = journaled;
+  return status;
+}
+
+Status Persistence::apply_journaled(uint64_t* applied_records) {
+  std::lock_guard<std::mutex> lock(journal_mutex_);
+  return apply_journaled_locked(applied_records);
+}
+
+Status Persistence::apply_journaled_locked(uint64_t* applied_records) {
+  if (applied_records != nullptr) *applied_records = 0;
+  if (!last_error_.ok()) return last_error_;
+  uint64_t applied = 0;
+  Status status = Status::Ok();
+  for (const std::string& payload : staged_records_) {
+    status = apply_stream_record(payload);
+    if (!status.ok()) break;
+    ++applied;
+  }
+  staged_records_.clear();
+  if (applied_records != nullptr) *applied_records = applied;
+  // The record is journaled (and may be acked) but this mirror cannot
+  // hold it: wedge, so the gap can never be served or promoted.
+  if (!status.ok()) last_error_ = status;
   return status;
 }
 
@@ -1067,7 +1110,10 @@ Status Persistence::install_snapshot(const std::string& snapshot_bytes,
                         "full resync requires a fresh controller; tear down "
                         "and rebuild the standby"});
   }
+  // The snapshot replaces all prior history, including any records
+  // journaled but not yet applied.
   stream_buffer_.clear();
+  staged_records_.clear();
   sessions_.clear();
   replay_dseq_.clear();
   Status written = write_snapshot_file(snapshot_bytes);
@@ -1095,6 +1141,10 @@ Status Persistence::install_snapshot(const std::string& snapshot_bytes,
 Status Persistence::apply_compaction(uint64_t new_generation) {
   std::lock_guard<std::mutex> lock(journal_mutex_);
   HARMONY_ASSERT_MSG(standby_, "apply_compaction on a primary");
+  // The snapshot below serializes the controller, which must hold every
+  // journaled record of the old generation.
+  Status caught_up = apply_journaled_locked(nullptr);
+  if (!caught_up.ok()) return caught_up;
   if (!stream_buffer_.empty()) {
     // The marker is sent in commit order, after every record of the old
     // generation; a buffered partial record means the stream skipped.
@@ -1130,6 +1180,12 @@ Status Persistence::promote() {
   {
     std::lock_guard<std::mutex> lock(journal_mutex_);
     HARMONY_ASSERT_MSG(standby_, "promote on a node that is already primary");
+    // Every journaled record may have been acked, so every one must be
+    // in the controller before it serves. A wedged mirror (a record it
+    // journaled but could not apply, or an I/O error) is missing history
+    // the old primary's clients saw acknowledged: refuse.
+    Status caught_up = apply_journaled_locked(nullptr);
+    if (!caught_up.ok()) return caught_up;
     // A torn buffered tail never finished committing on the dead
     // primary — no client was acked past it — so the new history
     // legitimately ends at the last complete record.

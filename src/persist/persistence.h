@@ -133,8 +133,8 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   // Standby (replica) mode: recovers local state exactly like open(),
   // but attaches no event sink, runs no verification pass, and starts
   // no sync thread — the controller is advanced only by the replicated
-  // stream (apply_replicated / install_snapshot / apply_compaction)
-  // until promote() turns this node into a primary.
+  // stream (journal_replicated + apply_journaled, install_snapshot,
+  // apply_compaction) until promote() turns this node into a primary.
   static Result<std::unique_ptr<Persistence>> open_standby(
       PersistConfig config, core::Controller& controller);
   ~Persistence() override;
@@ -190,12 +190,30 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
 
   // --- replication (standby side) -----------------------------------------
   bool standby() const { return standby_; }
-  // Applies streamed journal bytes: every complete framed record is
-  // validated (CRC), applied to the controller through the recovery
-  // path, and appended verbatim to the local journal; a torn tail stays
-  // buffered until the next call completes it. `applied_records` (may
-  // be null) returns the records applied by this call.
+  // Streamed journal bytes reach the mirror in two steps, so a standby
+  // can ack once the bytes are on its disk and apply them afterwards:
+  //
+  // journal_replicated verifies every complete framed record (length
+  // bound, CRC, and a GEN record's generation against this mirror's),
+  // appends it verbatim to the local journal, commits (write(2), no
+  // fsync) and stages it for apply_journaled; a torn tail stays
+  // buffered until a later call completes it. `journaled_records` (may
+  // be null) returns the records journaled by this call. A record that
+  // fails verification is not journaled and wedges the mirror.
+  Status journal_replicated(std::string_view bytes,
+                            uint64_t* journaled_records);
+  // apply_journaled applies the staged records to the controller through
+  // the recovery path, in stream order. A record that fails to apply was
+  // already journaled, and perhaps acked: the failure is sticky
+  // (io_status), nothing more is journaled, and promote() refuses.
+  // `applied_records` (may be null) returns the records applied.
+  Status apply_journaled(uint64_t* applied_records);
+  // Both steps: journal_replicated, then apply_journaled.
   Status apply_replicated(std::string_view bytes, uint64_t* applied_records);
+  // apply_compaction and promote first apply any records still staged,
+  // so they never act on a controller that lags its own journal;
+  // install_snapshot drops them with the history it replaces.
+  //
   // Full resync: installs the primary's snapshot file bytes (atomic
   // tmp/fsync/rename) and loads them into the controller, which must
   // still be fresh — a standby with diverged local state must be torn
@@ -217,7 +235,8 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   // Turns the standby into a primary: attaches as the controller's
   // event sink, runs the journaled verification pass, starts the group
   // commit thread, and flushes. Any torn stream tail is discarded — the
-  // dead primary never durably shipped that record.
+  // dead primary never durably shipped that record. Refuses with the
+  // sticky error, changing nothing, when the mirror is wedged.
   Status promote();
 
  private:
@@ -233,6 +252,10 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   Status apply_evd_record(const std::string& payload,
                           const std::vector<std::string>& fields);
   Status apply_stream_record(const std::string& payload);
+  // The GEN check of journal_replicated; other records pass.
+  Status check_stream_generation(const std::string& payload) const;
+  // Body of apply_journaled; callers hold journal_mutex_.
+  Status apply_journaled_locked(uint64_t* applied_records);
   std::string encode_event(const core::ControllerEvent& event) const;
   // Appends to the journal, stamping the GEN header record first when
   // the journal is (logically) empty.
@@ -277,6 +300,9 @@ class Persistence final : public core::EventSink, public core::DomainJournal {
   // Streamed bytes not yet forming a complete framed record (a batch
   // may end mid-record; the remainder arrives with the next batch).
   std::string stream_buffer_;
+  // Payloads journal_replicated wrote but apply_journaled has not yet
+  // applied, in stream order.
+  std::vector<std::string> staged_records_;
   // Primary-side journal-stream observer; read under journal_mutex_.
   ReplicationTap* tap_ = nullptr;
 

@@ -70,11 +70,11 @@ class ReplicationSource final : public persist::ReplicationTap,
     size_t queued_bytes = 0;
     // Records shipped to this standby since its HELLO (batch frames
     // only — the snapshot of a full resync doesn't count). The standby
-    // acks the records it applied since the same point, so the
-    // difference is its replay lag in records.
+    // acks the records it journaled, so the difference is its lag in
+    // records.
     uint64_t streamed_records = 0;
-    // Last position the standby acked having applied durably enough to
-    // serve from (it journals before acking).
+    // Last position the standby acked as written to its own journal (it
+    // journals, acks, then applies; its promotion applies any remainder).
     uint64_t acked_generation = 0;
     uint64_t acked_offset = 0;
     uint64_t acked_records = 0;

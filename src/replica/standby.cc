@@ -81,7 +81,7 @@ Status StandbyReplicator::send_ack(const net::Fd& fd) {
   net::Message ack{
       "REPL",
       {"ACK", std::to_string(pos.generation), std::to_string(pos.offset),
-       std::to_string(records_applied_.load(std::memory_order_relaxed))}};
+       std::to_string(records_journaled_.load(std::memory_order_relaxed))}};
   return net::write_all(fd, net::encode_frame(ack.encode()));
 }
 
@@ -121,7 +121,7 @@ Status StandbyReplicator::session(const net::Endpoint& peer) {
   while (!stop_.load(std::memory_order_relaxed)) {
     struct pollfd pfd = {fd.get(), POLLIN, 0};
     const int ready = ::poll(&pfd, 1, config_.poll_interval_ms);
-    bool applied = false;
+    bool progressed = false;
     if (ready > 0) {
       char buffer[64 * 1024];
       for (;;) {
@@ -181,7 +181,7 @@ Status StandbyReplicator::session(const net::Endpoint& peer) {
           stream_generation = resync_generation;
           stream_offset = 0;
           resyncs_.fetch_add(1, std::memory_order_relaxed);
-          applied = true;
+          progressed = true;
         } else if (op == "BATCH" && message.args.size() == 4) {
           uint64_t generation = 0;
           uint64_t offset = 0;
@@ -200,23 +200,28 @@ Status StandbyReplicator::session(const net::Endpoint& peer) {
                     std::to_string(stream_generation) + " offset " +
                     std::to_string(stream_offset));
           }
+          // Journal only; the records are applied after the ack below.
           uint64_t batch_records = 0;
-          Status status = persistence_->apply_replicated(bytes, &batch_records);
+          Status status =
+              persistence_->journal_replicated(bytes, &batch_records);
           if (!status.ok()) return status;
           stream_offset += bytes.size();
-          records_applied_.fetch_add(batch_records, std::memory_order_relaxed);
+          records_journaled_.fetch_add(batch_records,
+                                       std::memory_order_relaxed);
           bytes_applied_total_->add(bytes.size());
-          applied = true;
+          progressed = true;
         } else if (op == "COMPACT" && message.args.size() == 2) {
           uint64_t new_generation = 0;
           if (!parse_u64(message.args[1], &new_generation)) {
             return Status(ErrorCode::kProtocol, "bad COMPACT generation");
           }
+          // apply_compaction first applies the records journaled
+          // earlier in this read.
           Status status = persistence_->apply_compaction(new_generation);
           if (!status.ok()) return status;
           stream_generation = new_generation;
           stream_offset = 0;
-          applied = true;
+          progressed = true;
         } else {
           return Status(ErrorCode::kProtocol,
                         "unexpected REPL frame: " + message.encode());
@@ -226,15 +231,23 @@ Status StandbyReplicator::session(const net::Endpoint& peer) {
       return Status(ErrorCode::kIo, "poll failed on replication socket");
     }
 
+    // The primary's semi-sync replies wait on this ack, and the bytes it
+    // covers are already in the local journal: ack first, then apply.
     const bool ack_due =
-        applied || std::chrono::duration_cast<std::chrono::milliseconds>(
-                       Clock::now() - last_ack)
-                           .count() >= config_.ack_interval_ms;
+        progressed || std::chrono::duration_cast<std::chrono::milliseconds>(
+                          Clock::now() - last_ack)
+                              .count() >= config_.ack_interval_ms;
     if (ack_due) {
       Status acked = send_ack(fd);
       if (!acked.ok()) return acked;
       last_ack = Clock::now();
     }
+    // Applied before stop_ is checked again, so a stopped replicator
+    // leaves nothing it acked unapplied.
+    uint64_t applied_records = 0;
+    Status applied = persistence_->apply_journaled(&applied_records);
+    records_applied_.fetch_add(applied_records, std::memory_order_relaxed);
+    if (!applied.ok()) return applied;
   }
   return Status();
 }

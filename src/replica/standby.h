@@ -1,10 +1,12 @@
 // Standby-side replication client: a background thread that dials the
 // primary, attaches to its journal stream with {REPL HELLO}, and feeds
 // every received frame into the local Persistence mirror —
-// apply_replicated for BATCH frames, install_snapshot for the
+// journal_replicated for BATCH frames, install_snapshot for the
 // SNAP/SNAPC/SNAPE full-resync sequence, apply_compaction for COMPACT
-// markers — acking its applied watermark back so the primary's
-// semi-sync replies can release.
+// markers — acking its journaled watermark back so the primary's
+// semi-sync replies can release. Each read of the socket is handled as
+// verify, journal, ACK, then apply (apply_journaled): the primary waits
+// for the journal write, never for the standby's decision replay.
 //
 // The thread owns the connection and is the only writer to the
 // controller while the node is a standby (the standby's own server
@@ -37,7 +39,7 @@ struct StandbyConfig {
   std::vector<net::Endpoint> peers;
   // This node's name in HELLO (diagnostics on the primary).
   std::string node_id = "standby";
-  // Idle ack cadence; applied batches are acked immediately regardless.
+  // Idle ack cadence; journaled batches are acked immediately regardless.
   int ack_interval_ms = 50;
   // Reconnect backoff: doubles from initial to max per failed attempt.
   int initial_backoff_ms = 50;
@@ -65,6 +67,9 @@ class StandbyReplicator {
   bool needs_reset() const {
     return needs_reset_.load(std::memory_order_relaxed);
   }
+  // Records applied to the controller since start(). The ACK's third
+  // field counts journaled records instead, which run ahead of these by
+  // at most the batch being applied.
   uint64_t records_applied() const {
     return records_applied_.load(std::memory_order_relaxed);
   }
@@ -82,6 +87,7 @@ class StandbyReplicator {
   std::atomic<bool> stop_{false};
   std::atomic<bool> connected_{false};
   std::atomic<bool> needs_reset_{false};
+  std::atomic<uint64_t> records_journaled_{0};
   std::atomic<uint64_t> records_applied_{0};
   std::atomic<uint64_t> resyncs_{0};
 

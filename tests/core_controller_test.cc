@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "test_scenarios.h"
 
 namespace harmony::core {
@@ -194,6 +199,97 @@ TEST_F(DbFixture, SubscribersReceiveUpdates) {
   ASSERT_TRUE(add_client(1).ok());
   ASSERT_TRUE(add_client(2).ok());
   EXPECT_EQ(seen["where"], "DS");
+}
+
+// Decisions about an instance nobody subscribed to queue nothing (the
+// updates could never be read); a late subscriber receives exactly the
+// current configuration, which is also what a fresh subscription to an
+// unchanged controller replays. Each round runs inside one outer epoch,
+// so the count is read before the epoch-closing flush could hide
+// anything queued.
+TEST_F(DbFixture, LateSubscriberReceivesExactlyTheSnapshot) {
+  auto a = add_client(0);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(controller_.queued_update_count(), 0u);
+  // Each round flips `a` QS -> DS (third arrival) -> QS (departures).
+  for (int round = 0; round < 4; ++round) {
+    Controller::EpochScope epoch(controller_);
+    auto b = add_client(1);
+    auto c = add_client(2);
+    ASSERT_TRUE(b.ok() && c.ok());
+    EXPECT_EQ(option_of(a.value()), "DS");
+    EXPECT_EQ(controller_.queued_update_count(), 0u) << round;
+    ASSERT_TRUE(controller_.unregister(c.value()).ok());
+    ASSERT_TRUE(controller_.unregister(b.value()).ok());
+    EXPECT_EQ(option_of(a.value()), "QS");
+    EXPECT_EQ(controller_.queued_update_count(), 0u) << round;
+  }
+  ASSERT_TRUE(add_client(1).ok());
+  auto third = add_client(2);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(option_of(a.value()), "DS");
+  EXPECT_GE(controller_.reconfigurations(), 16u);
+  EXPECT_EQ(controller_.queued_update_count(), 0u);
+
+  using Updates = std::vector<std::pair<std::string, std::string>>;
+  Updates late;
+  ASSERT_TRUE(controller_
+                  .subscribe(a.value(),
+                             [&](const std::string& name,
+                                 const std::string& value) {
+                               late.emplace_back(name, value);
+                             })
+                  .ok());
+  EXPECT_EQ(controller_.queued_update_count(), 0u);
+  // One value per variable, the current one: no history.
+  std::map<std::string, std::string> by_name(late.begin(), late.end());
+  EXPECT_EQ(by_name.size(), late.size());
+  EXPECT_EQ(by_name["where"], "DS");
+  EXPECT_EQ(by_name["where.client.node"], "sp2-00");
+  EXPECT_EQ(by_name["where.server.node"], "server");
+
+  Updates replay;
+  ASSERT_TRUE(controller_
+                  .subscribe(a.value(),
+                             [&](const std::string& name,
+                                 const std::string& value) {
+                               replay.emplace_back(name, value);
+                             })
+                  .ok());
+  EXPECT_EQ(late, replay);
+
+  // A live subscription does queue within the epoch: the positive
+  // control for the zero counts above.
+  {
+    Controller::EpochScope epoch(controller_);
+    ASSERT_TRUE(controller_.unregister(third.value()).ok());
+    EXPECT_EQ(option_of(a.value()), "QS");
+    EXPECT_GT(controller_.queued_update_count(), 0u);
+  }
+  EXPECT_EQ(controller_.queued_update_count(), 0u);
+
+  // A parked (empty) subscription queues nothing either, and resuming
+  // it replays the snapshot again.
+  ASSERT_TRUE(controller_.subscribe(a.value(), {}).ok());
+  {
+    Controller::EpochScope epoch(controller_);
+    third = add_client(2);
+    ASSERT_TRUE(third.ok());
+    EXPECT_EQ(option_of(a.value()), "DS");
+    EXPECT_EQ(controller_.queued_update_count(), 0u);
+  }
+  Updates resumed;
+  ASSERT_TRUE(controller_
+                  .subscribe(a.value(),
+                             [&](const std::string& name,
+                                 const std::string& value) {
+                               resumed.emplace_back(name, value);
+                             })
+                  .ok());
+  std::map<std::string, std::string> resumed_by_name(resumed.begin(),
+                                                     resumed.end());
+  EXPECT_EQ(resumed_by_name.size(), resumed.size());
+  EXPECT_EQ(resumed_by_name["where"], "DS");
 }
 
 TEST_F(DbFixture, RegisterFailsWhenNothingFits) {
